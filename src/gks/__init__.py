@@ -26,10 +26,7 @@ from .spaces import (
     FeasibleFamily,
     contains,
     dimension,
-    family_init,
-    family_update,
     has_infeasible,
-    max_dimension_set,
     member,
     split,
 )

@@ -18,6 +18,7 @@ from typing import IO, Callable, Iterable, Iterator, Sequence, Union
 
 from .core import (
     Config,
+    ContentLines,
     Instance,
     InvalidInputError,
     InvariantViolationError,
@@ -25,8 +26,13 @@ from .core import (
     SequenceFormatError,
     format_fraction,
     hamming,
+    header_lines,
     parse_fraction,
+    parse_int,
+    parse_point,
+    read_header,
     satisfies,
+    write_lines,
 )
 from .spaces import FeasibleFamily, Pattern, member, pattern_sort_key
 
@@ -64,33 +70,6 @@ class PhaseSummary:
     created_by_dim: dict
     duplicate_creations: int
     adopted_spaces: int | None = None
-
-
-def nearest_member(patterns: Iterable[Pattern], current: Config) -> Config:
-    """Cheapest configuration inside any of the patterns, seen from `current`.
-
-    Cost of entering a pattern is the number of fixed entries differing from
-    the current position; free entries are copied, so the chosen member is
-    the unique cost-minimizer inside its pattern.  Ties across patterns go
-    to the lexicographically smallest configuration.
-    """
-    best: Config | None = None
-    best_cost: int | None = None
-    for pat in patterns:
-        c = 0
-        for v, x in zip(pat, current):
-            if v is not None and v != x:
-                c += 1
-        if best_cost is None or c < best_cost:
-            best_cost = c
-            best = member(pat, current)
-        elif c == best_cost:
-            cand = member(pat, current)
-            if cand < best:
-                best = cand
-    if best is None:
-        raise InvalidInputError("no patterns to choose from")
-    return best
 
 
 def nearest_space(patterns: Iterable[Pattern], current: Config) -> Pattern:
@@ -494,76 +473,38 @@ def transcript_lines(steps: Iterable[Step]) -> Iterator[str]:
 
 def write_transcript(dest: Union[str, Path, IO[str]], instance: Instance,
                      steps: Iterable[Step], meta: dict | None = None) -> None:
-    lines = [
-        TRANSCRIPT_HEADER,
-        f"k={instance.k}",
-        "sizes=" + ",".join(str(n) for n in instance.sizes),
-        "weights=" + ",".join(format_fraction(w) for w in instance.weights),
-    ]
+    lines = header_lines(TRANSCRIPT_HEADER, instance)
     for key in sorted(meta or {}):
         lines.append(f"# {key}={meta[key]}")
     lines.append("# step\tphase\trequest\tpre\tpost\tcost\tF\tm\tM")
     lines.extend(transcript_lines(steps))
-    text = "\n".join(lines) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        Path(dest).write_text(text)
+    write_lines(dest, lines)
 
 
 def read_transcript(src: Union[str, Path, IO[str]]) -> tuple[Instance, list[Step]]:
-    from .core import Instance as _Instance  # local alias for clarity
-
-    text = src.read() if hasattr(src, "read") else Path(src).read_text()
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        lines.append((lineno, line))
-    if not lines or lines[0][1] != TRANSCRIPT_HEADER:
-        raise SequenceFormatError(
-            f"bad header, expected {TRANSCRIPT_HEADER!r}", lines[0][0] if lines else 0
-        )
-
-    def kv(idx: int, key: str):
-        lineno, line = lines[idx]
-        prefix = key + "="
-        if not line.startswith(prefix):
-            raise SequenceFormatError(f"expected '{key}=...', got {line!r}", lineno)
-        return lineno, line[len(prefix):]
-
-    try:
-        _, kstr = kv(1, "k")
-        k = int(kstr)
-        _, sstr = kv(2, "sizes")
-        sizes = tuple(int(s) for s in sstr.split(","))
-        lineno, wstr = kv(3, "weights")
-        weights = tuple(parse_fraction(s) for s in wstr.split(","))
-        instance = _Instance(k, sizes, weights)
-    except (ValueError, InvalidInputError) as e:
-        raise SequenceFormatError(str(e), lineno) from e
-
+    """Parse a transcript; tuples are checked against the header's instance."""
+    lines = ContentLines(src)
+    instance = read_header(lines, TRANSCRIPT_HEADER)
     steps: list[Step] = []
     prev_phase = 0
-    for lineno, line in lines[4:]:
+    points: dict[str, Config] = {}  # each distinct tuple text is parsed and checked once
+    for lineno, line in lines:
         parts = line.split("\t")
         if len(parts) != 9:
             raise SequenceFormatError(f"expected 9 tab-separated fields, got {len(parts)}", lineno)
+        row = []
+        for text, what in zip(parts[2:5], ("request", "pre-state", "post-state")):
+            point = points.get(text)
+            if point is None:
+                point = points[text] = parse_point(instance, text, lineno, what)
+            row.append(point)
+        request, pre, post = row
         try:
-            index = int(parts[0])
-            phase = int(parts[1])
-            request = tuple(int(x) for x in parts[2].split(","))
-            pre = tuple(int(x) for x in parts[3].split(","))
-            post = tuple(int(x) for x in parts[4].split(","))
+            index, phase = parse_int(parts[0]), parse_int(parts[1])
             cost = parse_fraction(parts[5])
-            fam_size = int(parts[6])
-            max_dim = int(parts[7])
-            max_count = int(parts[8])
-        except (ValueError, InvalidInputError) as e:
+            fam_size, max_dim, max_count = map(parse_int, parts[6:])
+        except InvalidInputError as e:
             raise SequenceFormatError(str(e), lineno) from e
-        if len(request) != k or len(pre) != k or len(post) != k:
-            raise SequenceFormatError(f"tuple arity differs from k={k}", lineno)
         cost_val: Union[int, Fraction] = int(cost) if cost.denominator == 1 else cost
         steps.append(Step(
             index=index, phase=phase, request=request, pre=pre, post=post,

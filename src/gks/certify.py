@@ -24,24 +24,26 @@ from typing import IO, Iterable, Mapping, Sequence, Union
 
 from .core import (
     Config,
+    ContentLines,
     Instance,
     CertificateImpossibleError,
     InvalidInputError,
     Request,
     SequenceFormatError,
-    format_fraction,
-    parse_fraction,
+    header_lines,
+    parse_int,
+    parse_ints,
     poly_eval,
+    read_header,
     satisfies,
+    write_lines,
 )
 
 CERT_HEADER = "gks-cert v1"
 
-# Harmonic numbers stay exact up to arguments of this size; beyond it a
-# fixed-point approximation with documented 1e-12 slack takes over (only
-# reachable for more than 8 servers, outside every acceptance run).
+# Harmonic numbers are exact and cached.  A potential needs H(k!/d!) for
+# every d, so this limit caps potential audits at k = 8.
 HARMONIC_EXACT_LIMIT = math.factorial(8)
-_FIXED_SCALE = 1 << 64
 
 _harmonic_values: list[Fraction] = [Fraction(0)]
 
@@ -56,27 +58,17 @@ def harmonic(n: int) -> Fraction:
     return _harmonic_values[n]
 
 
-def harmonic_fixed(n: int) -> Fraction:
-    """Fixed-point harmonic number (64-bit scale, error well under 1e-12)."""
-    if n <= 64:
-        return harmonic(n)
-    x = math.log(n) + 0.57721566490153286 + 1.0 / (2 * n) - 1.0 / (12 * n * n)
-    return Fraction(round(x * _FIXED_SCALE), _FIXED_SCALE)
-
-
-def _h(n: int) -> Fraction:
-    return harmonic(n) if n <= HARMONIC_EXACT_LIMIT else harmonic_fixed(n)
-
-
 def potential_value(max_count: int, max_dim: int, k: int) -> Fraction:
     """Potential of a family with `max_count` patterns of dimension `max_dim`."""
     if max_count <= 0:
         return Fraction(0)
-    total = _h(max_count)
     kfac = math.factorial(k)
-    for d in range(max_dim):
-        total += _h(kfac // math.factorial(d))
-    return total
+    args = [max_count] + [kfac // math.factorial(d) for d in range(max_dim)]
+    if max(args) > HARMONIC_EXACT_LIMIT:
+        raise InvalidInputError(
+            f"potential audits need H(n) for n up to {max(args)}, above the exact "
+            f"limit {HARMONIC_EXACT_LIMIT} (k = {k}; audits stop at k = 8)")
+    return sum((harmonic(n) for n in args), Fraction(0))
 
 
 def potential(family) -> Fraction:
@@ -347,11 +339,8 @@ def write_certificate(dest: Union[str, Path, IO[str]], instance: Instance,
         raise InvalidInputError("certificate was built without materialized factors")
     if verdicts is None:
         verdicts = verify_certificate(cert)
-    lines = [
-        CERT_HEADER,
-        f"k={cert.k}",
-        "sizes=" + ",".join(str(n) for n in instance.sizes),
-        "weights=" + ",".join(format_fraction(w) for w in instance.weights),
+    write_lines(dest, [
+        *header_lines(CERT_HEADER, instance),
         f"l={cert.length}",
         "M",
         *(" ".join(str(x) for x in row) for row in cert.M),
@@ -361,65 +350,44 @@ def write_certificate(dest: Union[str, Path, IO[str]], instance: Instance,
         *(" ".join(str(x) for x in row) for row in cert.B),
         f"# verdicts: triangular={verdicts.triangular} "
         f"diagonal={verdicts.diagonal_nonzero} factorization={verdicts.factorization_ok}",
-    ]
-    text = "\n".join(lines) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        Path(dest).write_text(text)
+    ])
+
+
+def _positive_int(text: str) -> int:
+    value = parse_int(text)
+    if value < 1:
+        raise InvalidInputError(f"expected a positive integer, got {value}")
+    return value
 
 
 def read_certificate(src: Union[str, Path, IO[str]]) -> tuple[Instance, PhaseCertificate]:
-    text = src.read() if hasattr(src, "read") else Path(src).read_text()
-    lines: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        lines.append((lineno, line))
-    if not lines or lines[0][1] != CERT_HEADER:
-        raise SequenceFormatError(f"bad header, expected {CERT_HEADER!r}",
-                                  lines[0][0] if lines else 0)
+    """Parse a certificate file; every matrix row is checked for its width."""
+    lines = ContentLines(src)
+    instance = read_header(lines, CERT_HEADER)
+    _, ell = lines.field("l", _positive_int)
+    k = instance.k
 
-    def kv(idx: int, key: str) -> tuple[int, str]:
-        lineno, line = lines[idx]
-        prefix = key + "="
-        if not line.startswith(prefix):
-            raise SequenceFormatError(f"expected '{key}=...', got {line!r}", lineno)
-        return lineno, line[len(prefix):]
-
-    try:
-        _, kstr = kv(1, "k")
-        k = int(kstr)
-        _, sstr = kv(2, "sizes")
-        sizes = tuple(int(s) for s in sstr.split(","))
-        lineno, wstr = kv(3, "weights")
-        weights = tuple(parse_fraction(s) for s in wstr.split(","))
-        instance = Instance(k, sizes, weights)
-        lineno, lstr = kv(4, "l")
-        ell = int(lstr)
-    except (ValueError, InvalidInputError) as e:
-        raise SequenceFormatError(str(e), lineno) from e
-
-    def matrix(start: int, label: str, n_rows: int) -> tuple[int, list[list[int]]]:
-        lineno, line = lines[start]
+    def matrix(label: str, n_rows: int, width: int) -> list[list[int]]:
+        lineno, line = lines.take(f"matrix label {label!r}")
         if line != label:
             raise SequenceFormatError(f"expected matrix label {label!r}, got {line!r}", lineno)
         rows = []
-        for idx in range(start + 1, start + 1 + n_rows):
-            lineno, line = lines[idx]
+        for _ in range(n_rows):
+            lineno, line = lines.take(f"a row of matrix {label}")
             try:
-                rows.append([int(x) for x in line.split()])
-            except ValueError as e:
+                row = list(parse_ints(line, sep=None))
+            except InvalidInputError as e:
                 raise SequenceFormatError(str(e), lineno) from e
-        return start + 1 + n_rows, rows
+            if len(row) != width:
+                raise SequenceFormatError(
+                    f"matrix {label} row has {len(row)} entries, expected {width}", lineno)
+            rows.append(row)
+        return rows
 
-    pos = 5
-    pos, M = matrix(pos, "M", ell)
-    pos, A = matrix(pos, "A", ell)
-    pos, B = matrix(pos, "B", 1 << k)
-    if any(len(row) != ell for row in M) or any(len(row) != 1 << k for row in A) \
-            or any(len(row) != ell for row in B):
-        raise SequenceFormatError("matrix shape mismatch", lines[pos - 1][0])
+    M = matrix("M", ell, ell)
+    A = matrix("A", ell, 1 << k)
+    B = matrix("B", 1 << k, ell)
+    for lineno, line in lines:
+        raise SequenceFormatError(f"unexpected line after matrix B: {line!r}", lineno)
     cert = PhaseCertificate(k=k, length=ell, states=(), requests=(), M=M, A=A, B=B)
     return instance, cert

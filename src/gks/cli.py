@@ -25,6 +25,8 @@ from .core import (
     ResourceLimitError,
     SequenceFormatError,
     format_fraction,
+    parse_fractions,
+    parse_ints,
     read_sequence,
     write_sequence,
 )
@@ -74,24 +76,28 @@ def exact_decimal(x: Fraction, places: int = 6) -> str:
     return f"{sign}{whole}.{frac:0{places}d}"
 
 
-def _parse_tuple(text: str, instance: Instance, what: str):
+def _parse_flag(flag: str, parse, text: str):
+    """A flag value read with one of the file header's field parsers."""
     try:
-        coords = tuple(int(s) for s in text.split(","))
-    except ValueError as e:
-        _fail(EXIT_INPUT, f"bad {what} {text!r}: {e}")
+        return parse(text)
+    except InvalidInputError as e:
+        _fail(EXIT_INPUT, f"{flag}: {e}")
+
+
+def _parse_tuple(text: str, instance: Instance, what: str):
+    coords = _parse_flag("--start", parse_ints, text)
     return _guard(instance.check_coords, coords, what)
 
 
 def _instance_from_flags(k, sizes, weights):
     if k is None or sizes is None:
         _fail(EXIT_INPUT, "generated sequences need --k and --sizes")
-    parts = sizes.split(",")
-    if len(parts) == 1:
-        size_list = [int(parts[0])] * k
-    else:
-        size_list = [int(p) for p in parts]
-    weight_list = weights.split(",") if weights else None
-    return _guard(Instance.make, size_list, weight_list)
+    size_list = _parse_flag("--sizes", parse_ints, sizes)
+    if len(size_list) == 1:
+        size_list *= k
+    weight_list = _parse_flag("--weights", parse_fractions, weights) if weights \
+        else (Fraction(1),) * k
+    return _guard(Instance, k, size_list, weight_list)
 
 
 def _instance_echo(instance: Instance) -> dict:
@@ -172,8 +178,12 @@ def _run_report(alg, instance, algorithm, seq, seed, opt, certificates, wall) ->
 
 
 def _run_one(alg: str, instance: Instance, requests, gen, steps, seed, start,
-             with_opt: bool, with_certify: bool) -> dict:
-    """One complete run to a report dict; picklable for process pools."""
+             with_opt: bool, with_certify: bool) -> tuple[dict, object, list]:
+    """One complete run: (report, algorithm, served sequence).
+
+    The report's wall clock covers the run, certification and the optimum,
+    not file writes.
+    """
     t0 = time.perf_counter()
     algorithm, seq = _execute_run(alg, instance, requests, gen, steps, seed, start)
     certificates = None
@@ -192,11 +202,13 @@ def _run_one(alg: str, instance: Instance, requests, gen, steps, seed, start,
             opt_instance = Instance.make(instance.sizes, algorithm.rounded.rounded)
         opt = _guard(opt_cost, opt_instance, start or (0,) * instance.k, seq)
     wall = round(time.perf_counter() - t0, 6)
-    return _run_report(alg, instance, algorithm, seq, seed, opt, certificates, wall)
+    report = _run_report(alg, instance, algorithm, seq, seed, opt, certificates, wall)
+    return report, algorithm, seq
 
 
 def _sweep_worker(task) -> dict:
-    return _run_one(*task)
+    """Report of one sweep run; picklable for process pools."""
+    return _run_one(*task)[0]
 
 
 @click.group()
@@ -241,48 +253,27 @@ def cmd_run(alg, seq_file, gen, steps, k, sizes, weights, seed, seeds, jobs,
         requests = None
     start_cfg = _parse_tuple(start, instance, "start configuration") if start else None
 
-    seed_list = [int(s) for s in seeds.split(",")] if seeds else [seed]
+    seed_list = _parse_flag("--seeds", parse_ints, seeds) if seeds else (seed,)
+    tasks = [(alg, instance, requests, gen, steps, s, start_cfg, with_opt, with_certify)
+             for s in seed_list]
 
-    if len(seed_list) == 1:
-        seed_value = seed_list[0]
-        t0 = time.perf_counter()
-        algorithm, seq = _execute_run(alg, instance, requests, gen, steps,
-                                      seed_value, start_cfg)
-        certificates = None
-        if with_certify:
-            results = _guard(certify_transcript, instance, algorithm.transcript)
-            certificates = [
-                {"phase": phase, "length": cert.length,
-                 "triangular": v.triangular, "diagonal_nonzero": v.diagonal_nonzero,
-                 "factorization_ok": v.factorization_ok}
-                for phase, cert, v in results
-            ]
-        opt = None
-        if with_opt:
-            opt_instance = instance
-            if alg == "weighted":
-                opt_instance = Instance.make(instance.sizes, algorithm.rounded.rounded)
-            opt = _guard(opt_cost, opt_instance, start_cfg or (0,) * instance.k, seq)
-        wall = round(time.perf_counter() - t0, 6)
-        report = _run_report(alg, instance, algorithm, seq, seed_value,
-                             opt, certificates, wall)
+    if len(tasks) == 1:
+        report, algorithm, seq = _run_one(*tasks[0])
         if dump_seq:
             write_sequence(dump_seq, instance, seq)
         if transcript_out:
             write_transcript(transcript_out, instance, algorithm.transcript,
-                             meta={"alg": alg, "seed": seed_value})
+                             meta={"alg": alg, "seed": seed_list[0]})
         _write_report(report, out)
-        if certificates is not None and not all(
+        if with_certify and not all(
             c["triangular"] and c["diagonal_nonzero"] and c["factorization_ok"]
-            for c in certificates
+            for c in report["certificates"]
         ):
             _fail(EXIT_VIOLATION, "certificate verdict failed")
         return
 
     if dump_seq or transcript_out:
         _fail(EXIT_INPUT, "--dump-seq/--transcript-out need a single seed")
-    tasks = [(alg, instance, requests, gen, steps, s, start_cfg, with_opt, with_certify)
-             for s in seed_list]
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_sweep_worker, tasks))
@@ -340,24 +331,9 @@ def cmd_duel(alg, adversary, k, rounds, seed, start, out, dump_seq):
     result = _guard(run_closed_loop, algorithm, rounds)
     opt = _guard(opt_cost, instance, start_cfg or (0,) * k, result.requests)
     wall = round(time.perf_counter() - t0, 6)
-    ratio = Fraction(result.algorithm_cost) / max(opt, Fraction(1))
-    report = {
-        "schema": REPORT_SCHEMA,
-        "instance": _instance_echo(instance),
-        "algorithm": alg,
-        "adversary": adversary,
-        "adversary_model": result.adversary_model,
-        "seed": seed,
-        "rounds": result.rounds_completed,
-        "round_lengths": result.round_lengths,
-        "steps": len(result.requests),
-        "total_cost": format_fraction(result.algorithm_cost),
-        "opt": format_fraction(opt),
-        "ratio": exact_decimal(ratio),
-        "ratio_exact": format_fraction(ratio),
-        "phases": _phases_field(algorithm.phase_summaries),
-        "wall_clock_sec": wall,
-    }
+    report = _run_report(alg, instance, algorithm, result.requests, seed, opt, None, wall)
+    report.update(adversary=adversary, adversary_model=result.adversary_model,
+                  rounds=result.rounds_completed, round_lengths=result.round_lengths)
     if dump_seq:
         write_sequence(dump_seq, instance, result.requests)
     _write_report(report, out)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import IO, Iterable, Sequence, Union
+from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
 Config = tuple[int, ...]
 Request = tuple[int, ...]
@@ -57,6 +57,7 @@ class CertificateImpossibleError(GKSError):
 
 
 WeightLike = Union[int, str, Fraction]
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -166,27 +167,52 @@ def parse_fraction(s: str) -> Fraction:
         raise InvalidInputError(f"bad rational {s!r}: {e}") from e
 
 
+def parse_int(s: str) -> int:
+    try:
+        return int(s)
+    except ValueError as e:
+        raise InvalidInputError(f"bad integer {s!r}") from e
+
+
+def parse_ints(text: str, sep: str | None = ",") -> tuple[int, ...]:
+    """A `sep`-separated list of integers (whitespace-separated for None)."""
+    try:
+        return tuple(int(s) for s in text.split(sep))
+    except ValueError as e:
+        raise InvalidInputError(f"bad integer list {text!r}: {e}") from e
+
+
+def parse_fractions(text: str) -> tuple[Fraction, ...]:
+    """A comma-separated list of integers or p/q rationals."""
+    return tuple(parse_fraction(s) for s in text.split(","))
+
+
 # ---------------------------------------------------------------------------
-# Request-sequence files
+# Text files: request sequences, transcripts and certificates all open with
+# the same instance header
 #
-#   gks-seq v1
+#   <magic line, e.g. gks-seq v1>
 #   k=<int>
 #   sizes=<n1,...,nk>
 #   weights=<w1,...,wk>     (integers or p/q rationals)
-#   <one request per line, comma-separated 0-based indices>
 #
-# Blank lines and '#'-prefixed comments are ignored everywhere.
+# Blank lines and '#'-prefixed comments are ignored everywhere.  Every
+# format error is a SequenceFormatError carrying its 1-based line number; a
+# file that ends early is reported one line past its last.
 # ---------------------------------------------------------------------------
 
-def write_sequence(dest: Union[str, Path, IO[str]], instance: Instance,
-                   requests: Iterable[Request]) -> None:
-    lines = [
-        SEQ_HEADER,
+def header_lines(magic: str, instance: Instance) -> list[str]:
+    """The instance header of every gks text file."""
+    return [
+        magic,
         f"k={instance.k}",
         "sizes=" + ",".join(str(n) for n in instance.sizes),
         "weights=" + ",".join(format_fraction(w) for w in instance.weights),
     ]
-    lines.extend(",".join(str(x) for x in r) for r in requests)
+
+
+def write_lines(dest: Union[str, Path, IO[str]], lines: Iterable[str]) -> None:
+    """Write newline-terminated lines to a path or an open text stream."""
     text = "\n".join(lines) + "\n"
     if hasattr(dest, "write"):
         dest.write(text)
@@ -194,67 +220,72 @@ def write_sequence(dest: Union[str, Path, IO[str]], instance: Instance,
         Path(dest).write_text(text)
 
 
-def _content_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line
+class ContentLines:
+    """Numbered content lines of a text file or stream.
+
+    Iterating yields the remaining (line number, stripped line) pairs;
+    `take` returns the next one and fails at end of file.
+    """
+
+    def __init__(self, src: Union[str, Path, IO[str]]):
+        text = src.read() if hasattr(src, "read") else Path(src).read_text()
+        raw = text.splitlines()
+        self.end = len(raw) + 1  # where a missing line would have stood
+        self._lines = ((n, s) for n, s in enumerate((r.strip() for r in raw), start=1)
+                       if s and not s.startswith("#"))
+
+    def __iter__(self) -> Iterator[tuple[int, str]]:
+        return self._lines
+
+    def take(self, what: str) -> tuple[int, str]:
+        for item in self._lines:
+            return item
+        raise SequenceFormatError(f"unexpected end of file, expected {what}", self.end)
+
+    def field(self, key: str, parse: Callable[[str], T]) -> tuple[int, T]:
+        """Parse the next line as `key=<value>`."""
+        lineno, line = self.take(f"{key}=...")
+        prefix = key + "="
+        if not line.startswith(prefix):
+            raise SequenceFormatError(f"expected '{prefix}...', got {line!r}", lineno)
+        try:
+            return lineno, parse(line[len(prefix):])
+        except InvalidInputError as e:
+            raise SequenceFormatError(str(e), lineno) from e
 
 
-def _expect_kv(line: str, key: str, lineno: int) -> str:
-    prefix = key + "="
-    if not line.startswith(prefix):
-        raise SequenceFormatError(f"expected '{key}=...', got {line!r}", lineno)
-    return line[len(prefix):]
+def read_header(lines: ContentLines, magic: str) -> Instance:
+    """Parse the instance header; fields that disagree are reported on the
+    weights line, the header's last."""
+    lineno, line = lines.take("header")
+    if line != magic:
+        raise SequenceFormatError(f"bad header {line!r}, expected {magic!r}", lineno)
+    _, k = lines.field("k", parse_int)
+    _, sizes = lines.field("sizes", parse_ints)
+    lineno, weights = lines.field("weights", parse_fractions)
+    try:
+        return Instance(k, sizes, weights)
+    except InvalidInputError as e:
+        raise SequenceFormatError(str(e), lineno) from e
+
+
+def parse_point(instance: Instance, text: str, lineno: int, what: str = "request") -> Config:
+    """A comma-separated point tuple of this instance, read on line `lineno`."""
+    try:
+        return instance.check_coords(parse_ints(text), what)
+    except InvalidInputError as e:
+        raise SequenceFormatError(str(e), lineno) from e
+
+
+def write_sequence(dest: Union[str, Path, IO[str]], instance: Instance,
+                   requests: Iterable[Request]) -> None:
+    lines = header_lines(SEQ_HEADER, instance)
+    lines.extend(",".join(str(x) for x in r) for r in requests)
+    write_lines(dest, lines)
 
 
 def read_sequence(src: Union[str, Path, IO[str]]) -> tuple[Instance, list[Request]]:
-    """Parse a sequence file; errors carry the 1-based line number."""
-    text = src.read() if hasattr(src, "read") else Path(src).read_text()
-    it = _content_lines(text)
-
-    def next_line(what: str):
-        try:
-            return next(it)
-        except StopIteration:
-            raise SequenceFormatError(f"unexpected end of file, expected {what}", 0) from None
-
-    lineno, line = next_line("header")
-    if line != SEQ_HEADER:
-        raise SequenceFormatError(f"bad header {line!r}, expected {SEQ_HEADER!r}", lineno)
-
-    lineno, line = next_line("k=<int>")
-    try:
-        k = int(_expect_kv(line, "k", lineno))
-    except ValueError as e:
-        raise SequenceFormatError(str(e), lineno) from e
-
-    lineno, line = next_line("sizes=...")
-    try:
-        sizes = [int(s) for s in _expect_kv(line, "sizes", lineno).split(",")]
-    except ValueError as e:
-        raise SequenceFormatError(str(e), lineno) from e
-
-    lineno, line = next_line("weights=...")
-    try:
-        weights = [parse_fraction(s) for s in _expect_kv(line, "weights", lineno).split(",")]
-    except InvalidInputError as e:
-        raise SequenceFormatError(str(e), lineno) from e
-
-    try:
-        instance = Instance(k, tuple(sizes), tuple(weights))
-    except InvalidInputError as e:
-        raise SequenceFormatError(str(e), lineno) from e
-
-    requests: list[Request] = []
-    for lineno, line in it:
-        try:
-            coords = tuple(int(s) for s in line.split(","))
-        except ValueError as e:
-            raise SequenceFormatError(str(e), lineno) from e
-        try:
-            requests.append(instance.check_coords(coords))
-        except InvalidInputError as e:
-            raise SequenceFormatError(str(e), lineno) from e
-    return instance, requests
+    """Parse a sequence file: the header, then one request per line."""
+    lines = ContentLines(src)
+    instance = read_header(lines, SEQ_HEADER)
+    return instance, [parse_point(instance, line, lineno) for lineno, line in lines]

@@ -113,7 +113,8 @@ class FeasibleFamily:
     together with its dimension; re-creation of a pattern that is still
     alive is merged and counted in `duplicate_creations` rather than kept
     twice.  A destroyed pattern can never be re-created (its members left
-    the feasible union for good), which `update` asserts.
+    the feasible union for good), which `update` checks, raising
+    InvariantViolationError.
 
     Single writer: `update` mutates in place for speed; take `copy()` when a
     snapshot must outlive later updates.
@@ -202,8 +203,8 @@ class FeasibleFamily:
             return False
         # Children can only collide with alive patterns: a destroyed pattern
         # left the feasible union for good, and children always sit inside
-        # the current union, so `child in spaces` fully classifies a clash
-        # as a merge with an alive twin logged earlier this phase.
+        # the current union.  A clash with an alive twin is merged and
+        # counted; one with a pattern logged but no longer alive is checked.
         created = self.created
         hist = self._dim_hist
         dim_mask = self._DIM_MASK
@@ -224,6 +225,10 @@ class FeasibleFamily:
                     scratch[j] = None
                     if child in spaces:
                         self.duplicate_creations += 1
+                    elif child in created:
+                        raise InvariantViolationError(
+                            f"destroyed pattern {pattern_str(child)} re-created in its phase"
+                        )
                     else:
                         key = (j, r[j])
                         pos = bitpos.get(key)
@@ -301,21 +306,6 @@ class FeasibleFamily:
         for pat in self.spaces:
             out.update(enumerate_members(pat, sizes))
         return out
-
-
-def family_init(r: Request) -> FeasibleFamily:
-    return FeasibleFamily.initial(r)
-
-
-def family_update(family: FeasibleFamily, r: Request) -> FeasibleFamily:
-    """Functional counterpart of FeasibleFamily.update: returns a new family."""
-    out = family.copy()
-    out.update(r)
-    return out
-
-
-def max_dimension_set(family: FeasibleFamily) -> tuple[int, list[Pattern]]:
-    return family.max_dimension_set()
 
 
 def creation_bound(k: int, d: int) -> int:

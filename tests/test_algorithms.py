@@ -7,14 +7,13 @@ from fractions import Fraction
 import pytest
 
 from gks.core import Instance, InvalidInputError, satisfies
-from gks.spaces import contains, dimension
+from gks.spaces import FeasibleFamily, contains, dimension
 from gks.algorithms import (
     ALGORITHMS,
     AlternativeAlgorithm,
     DistributionTracker,
     GenericAlgorithm,
     RandomizedAlgorithm,
-    nearest_member,
     read_transcript,
     replay_space_choices,
     transcript_lines,
@@ -269,5 +268,4 @@ def test_transcript_roundtrip(tmp_path):
 
 def test_nearest_member_tie_break_is_lexicographic():
     # two patterns at equal cost: the lexicographically smaller member wins
-    got = nearest_member([(None, 1), (0, None)], (2, 2))
-    assert got == (0, 2)
+    assert FeasibleFamily.initial((0, 1)).nearest_member((2, 2)) == (0, 2)

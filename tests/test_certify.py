@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from gks.core import CertificateImpossibleError, Instance, InvalidInputError
-from gks.spaces import FeasibleFamily, family_init
+from gks.spaces import FeasibleFamily
 from gks.algorithms import (
     ALGORITHMS,
     DistributionTracker,
@@ -24,7 +24,6 @@ from gks.certify import (
     certify_transcript,
     forced_rows,
     harmonic,
-    harmonic_fixed,
     initial_potential,
     phases_of,
     potential,
@@ -114,16 +113,20 @@ def test_harmonic_values():
     assert harmonic(3) == Fraction(11, 6)
     assert harmonic(6) == Fraction(49, 20)
     assert harmonic(120) == sum(Fraction(1, j) for j in range(1, 121))
-    approx = harmonic_fixed(10 ** 6)
-    assert abs(float(approx) - (math.log(10 ** 6) + 0.5772156649)) < 1e-6
+    # potentials stay exact up to k = 8; from k = 9 on they need H(n) for
+    # some n > 8! and are refused
+    assert initial_potential(7) == harmonic(7) + sum(
+        harmonic(math.factorial(7) // math.factorial(d)) for d in range(6))
+    with pytest.raises(InvalidInputError):
+        initial_potential(9)
 
 
 def test_potential_examples():
     # single zero-dimensional pattern: H(1) = 1
-    fam = family_init((5,))
+    fam = FeasibleFamily.initial((5,))
     assert potential(fam) == 1
     # freshly opened 3-coordinate phase: H(3) + 2 H(6) = 101/15
-    fam3 = family_init((0, 1, 2))
+    fam3 = FeasibleFamily.initial((0, 1, 2))
     assert potential(fam3) == Fraction(101, 15)
     assert initial_potential(3) == Fraction(101, 15)
     assert initial_potential(3) <= 3 * harmonic(6)

@@ -96,12 +96,24 @@ def test_run_seed_sweep(runner, seq_file, tmp_path):
         assert report["seed"] == seed
 
 
+def assert_input_error(result, text=""):
+    """Exit 1 through the error path: an `error:` line, no traceback."""
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.stderr.startswith("error: ") and text in result.stderr, result.stderr
+
+
 def test_run_flag_validation(runner, seq_file):
     result = runner.invoke(main, ["run", "--alg", "det"])
-    assert result.exit_code == 1
+    assert_input_error(result)
     result = runner.invoke(main, ["run", "--alg", "det", "--seq", str(seq_file),
                                   "--gen", "random"])
-    assert result.exit_code == 1
+    assert_input_error(result)
+    gen = ["run", "--alg", "det", "--gen", "random", "--k", "2"]
+    for flags in (["--sizes", "3,x"], ["--sizes", "3", "--weights", "1,x"],
+                  ["--sizes", "3", "--seeds", "1,x"], ["--sizes", "3,3,3"],
+                  ["--sizes", "3", "--weights", "1,1,1"], ["--sizes", "3", "--start", "0,x"]):
+        assert_input_error(runner.invoke(main, gen + flags))
 
 
 def test_opt_command(runner, seq_file):
@@ -128,8 +140,11 @@ def test_malformed_sequence_exit_and_line(runner, tmp_path):
     bad = tmp_path / "bad.gks"
     bad.write_text("gks-seq v1\nk=2\nsizes=2,2\nweights=1,1\n0,7\n")
     result = runner.invoke(main, ["run", "--alg", "det", "--seq", str(bad)])
-    assert result.exit_code == 1
-    assert "line 5" in result.output
+    assert_input_error(result, "line 5")
+    truncated = tmp_path / "t.tsv"
+    truncated.write_text("gks-transcript v1\nk=2\n")
+    result = runner.invoke(main, ["certify", "--transcript", str(truncated)])
+    assert_input_error(result, "line 3: unexpected end of file")
 
 
 def test_duel_report(runner, tmp_path):

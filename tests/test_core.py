@@ -19,6 +19,8 @@ from gks.core import (
     weighted_distance,
     write_sequence,
 )
+from gks.algorithms import read_transcript
+from gks.certify import read_certificate
 
 
 def test_satisfies_examples():
@@ -142,8 +144,44 @@ def test_sequence_comments_and_blanks():
     ("gks-seq v1\nk=2\nsizes=2,2\nweights=1,0\n", 4),
     ("gks-seq v1\nk=2\nsizes=2,2\nweights=1,1\n0,zebra\n", 5),
     ("gks-seq v1\nk=2\nsizes=2,2\nweights=1,1\n0,1\n0,2\n", 6),
+    ("gks-seq v1\nk=2\n\n", 4),
 ])
 def test_sequence_errors_carry_line_numbers(text, line):
     with pytest.raises(SequenceFormatError) as exc:
         read_sequence(io.StringIO(text))
+    assert exc.value.line == line
+
+
+TSV = "gks-transcript v1\nk=3\nsizes=3,3,3\nweights=1,1,1\n# step\tphase\trequest\tpre\tpost\n"
+ROW = "{}\t1\t1,1,1\t0,0,0\t1,0,0\t1\t3\t2\t3\n"
+TSV_ROWS = TSV + "".join(ROW.format(i) for i in range(1, 16))  # 20 lines
+CERT = ("gks-cert v1\nk=1\nsizes=5\nweights=1\nl=2\n"
+        "M\n-1 -2\n0 -1\nA\n1 2\n1 3\nB\n-3 -4\n1 1\n")
+
+
+@pytest.mark.parametrize("reader,text,line", [
+    (read_transcript, TSV_ROWS, None),
+    (read_transcript, "gks-transcript v1\nk=2\n", 3),
+    (read_transcript, TSV_ROWS.replace("k=3", "k=x"), 2),
+    (read_transcript, TSV_ROWS.replace("3\t1\t1,1,1", "3\t1\t9,9,9", 1), 8),
+    (read_transcript, TSV_ROWS.replace("\t3\t2\t3\n", "\t3\t2\n", 1), 6),
+    (read_transcript, TSV_ROWS.replace("\t1\t3\t", "\tone\t3\t", 1), 6),
+    (read_certificate, CERT, None),
+    (read_certificate, CERT[:CERT.index("l=")], 5),
+    (read_certificate, CERT.replace("k=1", "k=x"), 2),
+    (read_certificate, CERT.replace("l=2", "l=0"), 5),
+    (read_certificate, CERT.replace("0 -1", "0 -1 7"), 8),
+    (read_certificate, CERT.replace("1 3", "1 x"), 11),
+    (read_certificate, CERT.replace("A\n", "Z\n"), 9),
+    (read_certificate, CERT + "5 5\n", 15),
+    (read_certificate, CERT[:CERT.index("B")], 12),
+], ids=["tsv-ok", "tsv-eof", "tsv-k", "tsv-range", "tsv-fields", "tsv-cost",
+        "cert-ok", "cert-eof", "cert-k", "cert-l", "cert-width", "cert-int", "cert-label",
+        "cert-trailing", "cert-no-b"])
+def test_transcript_and_certificate_errors_carry_line_numbers(reader, text, line):
+    if line is None:
+        reader(io.StringIO(text))
+        return
+    with pytest.raises(SequenceFormatError) as exc:
+        reader(io.StringIO(text))
     assert exc.value.line == line

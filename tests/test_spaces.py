@@ -6,17 +6,20 @@ import random
 
 import pytest
 
-from gks.core import ContractViolationError, EmptyFamilyError, InvalidInputError, satisfies
+from gks.core import (
+    ContractViolationError,
+    EmptyFamilyError,
+    InvalidInputError,
+    InvariantViolationError,
+    satisfies,
+)
 from gks.spaces import (
     FeasibleFamily,
     contains,
     creation_bound,
     dimension,
     enumerate_members,
-    family_init,
-    family_update,
     has_infeasible,
-    max_dimension_set,
     member,
     parse_pattern,
     pattern_str,
@@ -91,12 +94,12 @@ def test_split_child_count_and_dims():
 
 
 def test_family_init_examples():
-    fam = family_init((0, 1))
+    fam = FeasibleFamily.initial((0, 1))
     assert set(fam) == {(0, None), (None, 1)}
-    fam1 = family_init((5,))
+    fam1 = FeasibleFamily.initial((5,))
     assert set(fam1) == {(5,)}
     k = 4
-    fam4 = family_init((1, 2, 0, 3))
+    fam4 = FeasibleFamily.initial((1, 2, 0, 3))
     assert len(fam4) == k
     for pat in fam4:
         assert dimension(pat) == k - 1
@@ -105,20 +108,15 @@ def test_family_init_examples():
 
 
 def test_family_trace_example():
-    fam = family_init((0, 1))
+    fam = FeasibleFamily.initial((0, 1))
+    snapshot = fam.copy()
     assert fam.update((1, 0))
     assert set(fam) == {(0, 0), (1, 1)}
+    assert set(snapshot) == {(0, None), (None, 1)}  # a copy outlives updates
     assert fam.update((1, 1))
     assert set(fam) == {(1, 1)}
     assert fam.update((0, 0))
     assert len(fam) == 0  # the phase is exhausted on the 4th = 2^2-th request
-
-
-def test_family_update_functional_wrapper():
-    fam = family_init((0, 1))
-    out = family_update(fam, (1, 0))
-    assert set(fam) == {(0, None), (None, 1)}
-    assert set(out) == {(0, 0), (1, 1)}
 
 
 def test_family_union_tracks_exhaustive_feasible_set():
@@ -132,11 +130,11 @@ def test_family_union_tracks_exhaustive_feasible_set():
         for _ in range(rng.randrange(2, 14)):
             r = tuple(rng.randrange(n) for _ in range(k))
             if fam is None:
-                fam, phase_requests = family_init(r), [r]
+                fam, phase_requests = FeasibleFamily.initial(r), [r]
             else:
                 fam.update(r)
                 if len(fam) == 0:
-                    fam, phase_requests = family_init(r), [r]
+                    fam, phase_requests = FeasibleFamily.initial(r), [r]
                 else:
                     phase_requests.append(r)
             assert fam.feasible_union(sizes) == exhaustive_feasible(sizes, phase_requests)
@@ -148,7 +146,7 @@ def test_update_changed_iff_union_shrinks():
         k = rng.randrange(1, 4)
         n = rng.randrange(2, 4)
         sizes = [n] * k
-        fam = family_init(tuple(rng.randrange(n) for _ in range(k)))
+        fam = FeasibleFamily.initial(tuple(rng.randrange(n) for _ in range(k)))
         for _ in range(10):
             r = tuple(rng.randrange(n) for _ in range(k))
             before = fam.feasible_union(sizes)
@@ -163,11 +161,11 @@ def test_update_changed_iff_union_shrinks():
 
 
 def test_max_dimension_set():
-    fam = family_init((0, 1))
+    fam = FeasibleFamily.initial((0, 1))
     fam.update((1, 0))
-    m, top = max_dimension_set(fam)
+    m, top = fam.max_dimension_set()
     assert m == 0 and set(top) == {(0, 0), (1, 1)}
-    fam2 = family_init((1, 2, 3))
+    fam2 = FeasibleFamily.initial((1, 2, 3))
     m2, top2 = fam2.max_dimension_set()
     assert m2 == 2 and len(top2) == 3
     fam2.spaces.clear()
@@ -203,7 +201,7 @@ def test_duplicate_creation_is_merged_and_counted():
     # A pattern can be re-created while its twin is still alive: after the
     # fourth request below, (*,0,2) splits into (1,0,2), which the family
     # already contains.  The family must keep one copy and count the event.
-    fam = family_init((0, 0, 0))
+    fam = FeasibleFamily.initial((0, 0, 0))
     fam.update((1, 1, 2))
     fam.update((2, 2, 2))
     assert (1, 0, 2) in fam
@@ -214,12 +212,24 @@ def test_duplicate_creation_is_merged_and_counted():
     assert len(set(fam.created)) == len(fam.created)
 
 
+def test_recreating_a_destroyed_pattern_is_an_invariant_violation():
+    # (0,None) splits into (0,0) on request (1,0); a log claiming (0,0) was
+    # created earlier and is gone means a destroyed pattern came back
+    fam = FeasibleFamily.initial((0, 1))
+    fam.created[(0, 0)] = 0
+    with pytest.raises(InvariantViolationError):
+        fam.update((1, 0))
+    honest = FeasibleFamily.initial((0, 1))
+    honest.update((1, 0))
+    assert set(honest) == {(0, 0), (1, 1)}
+
+
 def test_created_counts_within_bounds_random_runs():
     rng = random.Random(23)
     for _ in range(40):
         k = rng.randrange(2, 5)
         n = rng.randrange(2, 5)
-        fam = family_init(tuple(rng.randrange(n) for _ in range(k)))
+        fam = FeasibleFamily.initial(tuple(rng.randrange(n) for _ in range(k)))
         for _ in range(120):
             r = tuple(rng.randrange(n) for _ in range(k))
             fam.update(r)
