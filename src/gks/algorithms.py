@@ -72,23 +72,9 @@ class PhaseSummary:
     adopted_spaces: int | None = None
 
 
-def nearest_space(patterns: Iterable[Pattern], current: Config) -> Pattern:
+def nearest_space(family: FeasibleFamily, current: Config) -> Pattern:
     """Pattern whose nearest member is cheapest; ties by canonical order."""
-    best: Pattern | None = None
-    best_cost: int | None = None
-    for pat in patterns:
-        c = 0
-        for v, x in zip(pat, current):
-            if v is not None and v != x:
-                c += 1
-        if best_cost is None or c < best_cost or (
-            c == best_cost and pattern_sort_key(pat) < pattern_sort_key(best)
-        ):
-            best_cost = c
-            best = pat
-    if best is None:
-        raise InvalidInputError("no patterns to choose from")
-    return best
+    return min(map(family.pattern, family.cheapest(current)), key=pattern_sort_key)
 
 
 class OnlineAlgorithm:
@@ -235,11 +221,10 @@ class OnlineAlgorithm:
 
 
 class GenericAlgorithm(OnlineAlgorithm):
-    """Move only when forced, to any configuration feasible for the phase.
+    """Move only when forced, to the nearest configuration feasible for the phase.
 
-    The choice among feasible configurations is a pluggable policy; the
-    default picks the nearest one with lexicographic tie-breaking, which
-    keeps runs reproducible.  `seed_next_phase=False` switches to the
+    Ties go to the lexicographically smallest configuration, which keeps
+    runs reproducible.  `seed_next_phase=False` switches to the
     variant where the request that exhausts a phase still belongs to it and
     the next phase only opens at the following request.
     """
@@ -247,11 +232,8 @@ class GenericAlgorithm(OnlineAlgorithm):
     alg_id = "det"
 
     def __init__(self, instance: Instance, start: Sequence[int] | None = None,
-                 keep_transcript: bool = True,
-                 policy: Callable[[FeasibleFamily, Config], Config] | None = None,
-                 seed_next_phase: bool = True):
+                 keep_transcript: bool = True, seed_next_phase: bool = True):
         super().__init__(instance, start, keep_transcript)
-        self.policy = policy or (lambda fam, cur: fam.nearest_member(cur))
         self.seeds_next_phase = seed_next_phase
 
     def _serve(self, r, phase_start, fresh, terminal):
@@ -263,16 +245,45 @@ class GenericAlgorithm(OnlineAlgorithm):
             return self.current
         if terminal:
             # serve only r; the family is already empty
-            return self.policy(FeasibleFamily.initial(r), self.current)
-        return self.policy(self.family, self.current)
+            return FeasibleFamily.initial(r).nearest_member(self.current)
+        return self.family.nearest_member(self.current)
 
 
-class AlternativeAlgorithm(OnlineAlgorithm):
+class _SpaceFollower(OnlineAlgorithm):
+    """Follow one adopted subspace; `_choose` picks the next when it is lost.
+
+    Stays put while the adopted pattern survives the update; once any of its
+    members turns infeasible the whole pattern is treated as lost and a new
+    one is chosen, even if the occupied configuration itself stayed feasible.
+    """
+
+    space: Pattern | None = None
+    _space_mask: int | None = None
+
+    def _on_phase_start(self):
+        # fresh families cannot contain the old pattern; drop it explicitly
+        self.space = None
+        self._space_mask = None
+        self._adopted: set[Pattern] = set()
+
+    def _adopted_count(self):
+        return len(self._adopted)
+
+    def _serve(self, r, phase_start, fresh, terminal):
+        if not phase_start and self._space_mask in self.family.spaces:
+            return self.current
+        self.space = self._choose()
+        self._space_mask = self.family.mask(self.space)
+        self._adopted.add(self.space)
+        return member(self.space, self.current)
+
+
+class AlternativeAlgorithm(_SpaceFollower):
     """Follow one tracked subspace; re-select only when it is destroyed.
 
-    Stays put while the adopted pattern survives the update, even if its
-    dimension is no longer maximal; when the pattern is gone it re-selects
-    and moves even if the old position happens to remain feasible.
+    Stays put while the adopted pattern survives, even if its dimension is
+    no longer maximal; the default re-selection takes the pattern with the
+    cheapest nearest member.
     """
 
     alg_id = "alt"
@@ -281,33 +292,17 @@ class AlternativeAlgorithm(OnlineAlgorithm):
                  keep_transcript: bool = True,
                  space_policy: Callable[[FeasibleFamily, Config], Pattern] | None = None):
         super().__init__(instance, start, keep_transcript)
-        self.space_policy = space_policy or (lambda fam, cur: nearest_space(fam.spaces, cur))
-        self.space: Pattern | None = None
-        self._adopted: set[Pattern] = set()
+        self.space_policy = space_policy or (lambda fam, cur: nearest_space(fam, cur))
 
-    def _on_phase_start(self):
-        # fresh families cannot contain the old pattern; drop it explicitly
-        self.space = None
-        self._adopted = set()
-
-    def _adopted_count(self):
-        return len(self._adopted)
-
-    def _serve(self, r, phase_start, fresh, terminal):
-        if not phase_start and self.space is not None and self.space in self.family:
-            return self.current
-        self.space = self.space_policy(self.family, self.current)
-        self._adopted.add(self.space)
-        return member(self.space, self.current)
+    def _choose(self):
+        return self.space_policy(self.family, self.current)
 
 
-class RandomizedAlgorithm(OnlineAlgorithm):
+class RandomizedAlgorithm(_SpaceFollower):
     """Track a subspace drawn uniformly from the maximal-dimension ones.
 
-    Keeps the drawn pattern while it survives; once any of its members turns
-    infeasible the whole pattern is treated as lost and a fresh uniform draw
-    happens, even if the occupied configuration itself stayed feasible.
-    A fixed seed makes transcripts bit-identical across runs.
+    A surviving drawn pattern is kept: dimensions never grow, so it is still
+    maximal.  A fixed seed makes transcripts bit-identical across runs.
     """
 
     alg_id = "rand"
@@ -318,25 +313,10 @@ class RandomizedAlgorithm(OnlineAlgorithm):
         super().__init__(instance, start, keep_transcript)
         self.seed = seed
         self.rng = random.Random(seed)
-        self.space: Pattern | None = None
-        self._adopted: set[Pattern] = set()
 
-    def _on_phase_start(self):
-        self.space = None
-        self._adopted = set()
-
-    def _adopted_count(self):
-        return len(self._adopted)
-
-    def _serve(self, r, phase_start, fresh, terminal):
-        # survival implies the pattern is still of maximal dimension:
-        # dimensions never grow, so a surviving maximal pattern stays maximal
-        if not phase_start and self.space is not None and self.space in self.family:
-            return self.current
+    def _choose(self):
         _, top = self.family.max_dimension_set()
-        self.space = top[self.rng.randrange(len(top))]
-        self._adopted.add(self.space)
-        return member(self.space, self.current)
+        return top[self.rng.randrange(len(top))]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ All arithmetic is exact, so two runs produce byte-identical certificates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence, Union
@@ -233,14 +233,17 @@ def certify_transcript(instance: Instance, steps: Sequence,
 # Potential and family-count audits
 # ---------------------------------------------------------------------------
 
+# Potentials stay exact but out of the reprs: at k = 8 their numerators run
+# past Python's int-to-string digit limit, and printing them would raise.
+
 @dataclass(frozen=True)
 class PotentialAudit:
     index: int
     case: str              # "phase-start", "same-dim", "dim-drop"
     ok: bool
     p_move: Fraction
-    phi_prev: Fraction
-    phi_cur: Fraction
+    phi_prev: Fraction = field(repr=False)
+    phi_cur: Fraction = field(repr=False)
     detail: str = ""
 
 
@@ -279,7 +282,7 @@ def audit_potential_step(step, k: int) -> PotentialAudit:
 class PhaseMotionAudit:
     phase: int
     complete: bool
-    phi_start: Fraction
+    phi_start: Fraction = field(repr=False)
     motion_sum: Fraction    # sum of k * p_move over the phase's interior steps
     monotone: bool          # potential never increased inside the phase
     ok: bool

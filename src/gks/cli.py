@@ -211,7 +211,26 @@ def _sweep_worker(task) -> dict:
     return _run_one(*task)[0]
 
 
-@click.group()
+class _Commands(click.Group):
+    """Exits 1 on click's own usage errors (a bad flag value, a missing
+    file, an unknown choice): they are input errors like any other."""
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as e:
+            e.exit_code = EXIT_INPUT
+            raise
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as e:
+            e.exit_code = EXIT_INPUT
+            raise
+
+
+@click.group(cls=_Commands)
 def main():
     """Experiments on products of uniform metrics."""
 

@@ -5,7 +5,9 @@ A pattern is a k-tuple whose entries are either a fixed point index or FREE
 entry.  Within a service phase the feasible configurations are maintained as
 a family of such patterns: a request that leaves some member of a pattern
 unsatisfied replaces that pattern with one child per free coordinate, each
-child pinning that coordinate to the requested point.
+child pinning that coordinate to the requested point.  The tuple helpers
+below are the reference form; the family itself holds each pattern as an
+integer mask.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .core import (
     InvalidInputError,
     InvariantViolationError,
     Request,
-    satisfies,
 )
 
 FREE = None
@@ -108,77 +109,78 @@ def parse_pattern(s: str) -> Pattern:
 class FeasibleFamily:
     """The set of patterns whose union is the phase's feasible configurations.
 
-    The family is keyed by pattern content: identity is equality of slots.
-    `created` logs every distinct pattern added since the phase began,
-    together with its dimension; re-creation of a pattern that is still
-    alive is merged and counted in `duplicate_creations` rather than kept
-    twice.  A destroyed pattern can never be re-created (its members left
-    the feasible union for good), which `update` checks, raising
-    InvariantViolationError.
+    Inside the family a pattern is its mask: bit `x*k + i` set means
+    coordinate i is fixed to point x, so two patterns are equal exactly when
+    their masks are, a pattern's dimension is k minus the mask's popcount,
+    and a pattern has a member missing request r exactly when its mask
+    shares no bit with r's.  `spaces` maps each alive mask to the bits of its
+    free coordinates; `created` holds every distinct mask added since the
+    phase began.  Re-creation of a pattern that is still alive is merged and
+    counted in `duplicate_creations` rather than kept twice.  A destroyed
+    pattern can never be re-created (its members left the feasible union for
+    good), which `update` checks, raising InvariantViolationError.  Tuples
+    appear only at the API boundary: iteration, membership tests,
+    `max_dimension_set` and error messages.
 
     Single writer: `update` mutates in place for speed; take `copy()` when a
     snapshot must outlive later updates.
-
-    Internally each alive pattern is stored packed: its dimension in the
-    low bits and, above them, a bitmask with one lazily interned bit per
-    (coordinate, point) pair the pattern fixes.  A pattern survives a
-    request exactly when its mask intersects the request's mask, so the hot
-    update path is one integer AND per pattern.
     """
 
-    __slots__ = ("k", "spaces", "created", "duplicate_creations", "_bitpos", "_dim_hist")
-
-    _DIM_BITS = 5
-    _DIM_MASK = (1 << _DIM_BITS) - 1
+    __slots__ = ("k", "spaces", "created", "duplicate_creations", "_dim_hist")
 
     def __init__(self, k: int):
-        if k > self._DIM_MASK:
-            raise InvalidInputError(f"supports up to {self._DIM_MASK} coordinates, got {k}")
         self.k = k
-        self.spaces: dict[Pattern, int] = {}          # alive pattern -> packed entry
-        self.created: dict[Pattern, int] = {}         # distinct creations -> dimension
+        self.spaces: dict[int, int] = {}   # alive mask -> free-coordinate bits
+        self.created: set[int] = set()     # distinct masks created in the phase
         self.duplicate_creations: int = 0
-        self._bitpos: dict[tuple[int, int], int] = {}  # (coordinate, point) -> mask bit
-        self._dim_hist: list[int] = [0] * (k + 1)      # alive count per dimension
-
-    def _bit(self, i: int, v: int) -> int:
-        key = (i, v)
-        pos = self._bitpos.get(key)
-        if pos is None:
-            pos = len(self._bitpos) + self._DIM_BITS
-            self._bitpos[key] = pos
-        return pos
+        self._dim_hist: list[int] = [0] * (k + 1)  # alive count per dimension
 
     @classmethod
     def initial(cls, r: Request) -> "FeasibleFamily":
         """Family for a phase opened by request r: one pattern per coordinate."""
         k = len(r)
         fam = cls(k)
-        for i in range(k):
-            pat = (None,) * i + (r[i],) + (None,) * (k - i - 1)
-            fam.spaces[pat] = (1 << fam._bit(i, r[i])) | (k - 1)
-            fam.created[pat] = k - 1
+        full = (1 << k) - 1
+        for i, x in enumerate(r):
+            fam.spaces[1 << (x * k + i)] = full ^ (1 << i)
+        fam.created.update(fam.spaces)
         fam._dim_hist[k - 1] = k
         return fam
+
+    def mask(self, entries: Sequence) -> int:
+        """Mask of a pattern, or of a configuration or request (all fixed)."""
+        k = self.k
+        m = 0
+        for i, x in enumerate(entries):
+            if x is not None:
+                m |= 1 << (x * k + i)
+        return m
+
+    def pattern(self, mask: int, slots: Sequence | None = None) -> tuple:
+        """`slots` (all FREE by default) with every entry `mask` fixes set."""
+        k = self.k
+        out = [FREE] * k if slots is None else list(slots)
+        while mask:
+            low = mask & -mask
+            x, i = divmod(low.bit_length() - 1, k)
+            out[i] = x
+            mask ^= low
+        return tuple(out)
 
     def __len__(self) -> int:
         return len(self.spaces)
 
     def __contains__(self, pattern: Pattern) -> bool:
-        return pattern in self.spaces
+        return len(pattern) == self.k and self.mask(pattern) in self.spaces
 
     def __iter__(self) -> Iterator[Pattern]:
-        return iter(self.spaces)
-
-    def dimension_of(self, pattern: Pattern) -> int:
-        return self.spaces[pattern] & self._DIM_MASK
+        return (self.pattern(m) for m in self.spaces)
 
     def copy(self) -> "FeasibleFamily":
         fam = FeasibleFamily(self.k)
         fam.spaces = dict(self.spaces)
-        fam.created = dict(self.created)
+        fam.created = set(self.created)
         fam.duplicate_creations = self.duplicate_creations
-        fam._bitpos = dict(self._bitpos)
         fam._dim_hist = list(self._dim_hist)
         return fam
 
@@ -189,96 +191,90 @@ class FeasibleFamily:
         is touched only when one of its members misses r, and every such
         member is covered by no other surviving pattern.
         """
-        if len(r) != self.k:
-            raise InvalidInputError(f"request has {len(r)} coordinates, expected {self.k}")
-        bitpos = self._bitpos
-        rmask = 0
-        for i, x in enumerate(r):
-            pos = bitpos.get((i, x))
-            if pos is not None:
-                rmask |= 1 << pos
+        k = self.k
+        if len(r) != k:
+            raise InvalidInputError(f"request has {len(r)} coordinates, expected {k}")
+        rbits = [1 << (x * k + i) for i, x in enumerate(r)]
+        rmask = sum(rbits)
         spaces = self.spaces
-        doomed = [pat for pat, v in spaces.items() if not (v & rmask)]
+        doomed = [m for m in spaces if not m & rmask]
         if not doomed:
             return False
         # Children can only collide with alive patterns: a destroyed pattern
         # left the feasible union for good, and children always sit inside
         # the current union.  A clash with an alive twin is merged and
-        # counted; one with a pattern logged but no longer alive is checked.
+        # counted; one with a pattern created earlier but no longer alive is
+        # checked.
         created = self.created
         hist = self._dim_hist
-        dim_mask = self._DIM_MASK
-        dim_bits = self._DIM_BITS
-        for pat in doomed:
-            v = spaces.pop(pat)
-            d = v & dim_mask
+        for m in doomed:
+            free = spaces.pop(m)
+            d = free.bit_count()
             hist[d] -= 1
-            if d == 0:
+            if not free:
                 continue
-            base = v - d  # the pattern's fixed-slot mask, already shifted
-            dm1 = d - 1
-            scratch = list(pat)
-            for j, slot in enumerate(pat):
-                if slot is None:
-                    scratch[j] = r[j]
-                    child = tuple(scratch)
-                    scratch[j] = None
-                    if child in spaces:
-                        self.duplicate_creations += 1
-                    elif child in created:
-                        raise InvariantViolationError(
-                            f"destroyed pattern {pattern_str(child)} re-created in its phase"
-                        )
-                    else:
-                        key = (j, r[j])
-                        pos = bitpos.get(key)
-                        if pos is None:
-                            pos = len(bitpos) + dim_bits
-                            bitpos[key] = pos
-                        spaces[child] = base | (1 << pos) | dm1
-                        created[child] = dm1
-                        hist[dm1] += 1
+            rest = free
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                child = m | rbits[low.bit_length() - 1]
+                if child in spaces:
+                    self.duplicate_creations += 1
+                elif child in created:
+                    raise InvariantViolationError(
+                        f"destroyed pattern {pattern_str(self.pattern(child))} "
+                        "re-created in its phase"
+                    )
+                else:
+                    spaces[child] = free ^ low
+                    created.add(child)
+                    hist[d - 1] += 1
         return True
 
-    def max_dimension_stats(self) -> tuple[int, int]:
-        """(largest dimension, how many patterns have it)."""
+    def _top_dimension(self) -> int:
         if not self.spaces:
             raise EmptyFamilyError("family is empty; the phase is over")
         hist = self._dim_hist
         for d in range(self.k, -1, -1):
             if hist[d]:
-                return d, hist[d]
+                return d
         raise AssertionError("histogram out of sync")
+
+    def max_dimension_stats(self) -> tuple[int, int]:
+        """(largest dimension, how many patterns have it)."""
+        d = self._top_dimension()
+        return d, self._dim_hist[d]
+
+    def cheapest(self, current: Config) -> list[int]:
+        """Masks of the patterns whose nearest member is cheapest from `current`.
+
+        Entering a pattern costs its number of fixed entries that differ
+        from the current position (free entries are copied), which is the
+        popcount of its mask outside `current`'s.
+        """
+        if not self.spaces:
+            raise EmptyFamilyError("family is empty; the phase is over")
+        away = ~self.mask(current)
+        best = self.k + 1
+        out: list[int] = []
+        for m in self.spaces:
+            c = (m & away).bit_count()
+            if c < best:
+                best = c
+                out = [m]
+            elif c == best:
+                out.append(m)
+        return out
 
     def nearest_member(self, current: Config) -> Config:
         """Cheapest feasible configuration seen from `current`.
 
-        Entering a pattern costs its number of fixed entries that differ
-        from the current position (free entries are copied).  Ties across
-        patterns go to the lexicographically smallest configuration, the
-        same rule as the generic selection over explicit pattern lists.
+        Ties across patterns go to the lexicographically smallest
+        configuration.
         """
-        if not self.spaces:
-            raise EmptyFamilyError("family is empty; the phase is over")
-        cmask = 0
-        bitpos = self._bitpos
-        for i, x in enumerate(current):
-            pos = bitpos.get((i, x))
-            if pos is not None:
-                cmask |= 1 << pos
-        k = self.k
-        dim_mask = self._DIM_MASK
-        best_cost = k + 1
-        best_pats: list[Pattern] = []
-        for pat, v in self.spaces.items():
-            # fixed slots agreeing with `current` are exactly the shared mask bits
-            c = k - (v & dim_mask) - (v & cmask).bit_count()
-            if c < best_cost:
-                best_cost = c
-                best_pats = [pat]
-            elif c == best_cost:
-                best_pats.append(pat)
-        return min(member(p, current) for p in best_pats)
+        away = ~self.mask(current)
+        moves = {m & away for m in self.cheapest(current)}
+        return min(self.pattern(move, current) for move in moves)
 
     def max_dimension_set(self) -> tuple[int, list[Pattern]]:
         """Largest dimension present and the patterns of that dimension.
@@ -286,24 +282,23 @@ class FeasibleFamily:
         Patterns come back in canonical sorted order so that random draws
         indexed into the list are reproducible.
         """
-        if not self.spaces:
-            raise EmptyFamilyError("family is empty; the phase is over")
-        dim_mask = self._DIM_MASK
-        m = max(v & dim_mask for v in self.spaces.values())
-        top = [p for p, v in self.spaces.items() if v & dim_mask == m]
+        m = self._top_dimension()
+        fixed = self.k - m
+        top = [self.pattern(mask) for mask in self.spaces if mask.bit_count() == fixed]
         top.sort(key=pattern_sort_key)
         return m, top
 
     def created_by_dimension(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for d in self.created.values():
-            out[d] = out.get(d, 0) + 1
-        return out
+        """Distinct patterns created in the phase per dimension, highest first."""
+        counts = [0] * (self.k + 1)
+        for m in self.created:
+            counts[self.k - m.bit_count()] += 1
+        return {d: counts[d] for d in range(self.k, -1, -1) if counts[d]}
 
     def feasible_union(self, sizes: Sequence[int]) -> set[Config]:
         """Union of all members, materialized; exhaustive-test helper."""
         out: set[Config] = set()
-        for pat in self.spaces:
+        for pat in self:
             out.update(enumerate_members(pat, sizes))
         return out
 

@@ -33,3 +33,59 @@ def exhaustive_feasible(sizes, requests):
     """All configurations satisfying every request, by full enumeration."""
     return {q for q in all_configs(sizes)
             if all(satisfies(q, r) for r in requests)}
+
+
+class NaiveFamily:
+    """A phase's feasible family as a plain set of pattern tuples.
+
+    Patterns are k-tuples with None for a free coordinate.  Every operation
+    follows its definition directly: a pattern dies when all its fixed
+    entries differ from the request, and each dead pattern is replaced by
+    one child per free coordinate pinned to the requested point.
+    """
+
+    def __init__(self, r):
+        k = len(r)
+        self.k = k
+        self.alive = {tuple(r[i] if j == i else None for j in range(k)) for i in range(k)}
+        self.created = set(self.alive)
+        self.duplicate_creations = 0
+
+    def update(self, r):
+        doomed = [p for p in self.alive
+                  if all(v is None or v != x for v, x in zip(p, r))]
+        self.alive -= set(doomed)
+        for p in doomed:
+            for j, v in enumerate(p):
+                if v is not None:
+                    continue
+                child = p[:j] + (r[j],) + p[j + 1:]
+                if child in self.alive:
+                    self.duplicate_creations += 1
+                else:
+                    assert child not in self.created, "destroyed pattern re-created"
+                    self.alive.add(child)
+                    self.created.add(child)
+        return bool(doomed)
+
+    @staticmethod
+    def dimension(p):
+        return sum(v is None for v in p)
+
+    def created_by_dimension(self):
+        out = {}
+        for p in self.created:
+            d = self.dimension(p)
+            out[d] = out.get(d, 0) + 1
+        return out
+
+    def max_dimension_set(self):
+        m = max(self.dimension(p) for p in self.alive)
+        top = [p for p in self.alive if self.dimension(p) == m]
+        return m, sorted(top, key=lambda p: [-1 if v is None else v for v in p])
+
+    def nearest_member(self, current):
+        """Closest member over all patterns, ties to the smallest tuple."""
+        members = [tuple(x if v is None else v for v, x in zip(p, current))
+                   for p in self.alive]
+        return min(members, key=lambda q: (sum(a != b for a, b in zip(q, current)), q))

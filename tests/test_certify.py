@@ -181,6 +181,21 @@ def test_audit_known_drop_step():
     assert audit.phi_prev - audit.phi_cur >= Fraction(1, 2) == rec.p_move
 
 
+def test_k8_audit_repr_leaves_out_potentials():
+    # k = 8 potentials have numerators past the int-to-string digit limit;
+    # the audits keep them exact but must still print
+    inst = Instance.uniform(8, 2)
+    tracker = DistributionTracker(inst)
+    tracker.run([(0,) * 8, (1,) * 8, (1, 0) * 4])
+    audits = [audit_potential_step(st, 8) for st in tracker.steps]
+    motion = audit_phase_motion(tracker.steps, 8)
+    assert audits[0].phi_cur == initial_potential(8) == motion[0].phi_start
+    for audit in audits + motion:
+        assert audit.ok
+        text = repr(audit)
+        assert "phi_" not in text and "ok=True" in text
+
+
 def test_phase_motion_bound():
     rng = random.Random(2)
     for trial in range(8):

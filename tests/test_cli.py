@@ -103,7 +103,7 @@ def assert_input_error(result, text=""):
     assert result.stderr.startswith("error: ") and text in result.stderr, result.stderr
 
 
-def test_run_flag_validation(runner, seq_file):
+def test_run_flag_validation(runner, seq_file, tmp_path):
     result = runner.invoke(main, ["run", "--alg", "det"])
     assert_input_error(result)
     result = runner.invoke(main, ["run", "--alg", "det", "--seq", str(seq_file),
@@ -114,6 +114,21 @@ def test_run_flag_validation(runner, seq_file):
                   ["--sizes", "3", "--seeds", "1,x"], ["--sizes", "3,3,3"],
                   ["--sizes", "3", "--weights", "1,1,1"], ["--sizes", "3", "--start", "0,x"]):
         assert_input_error(runner.invoke(main, gen + flags))
+    # values click rejects itself end with its usage message, but also exit 1
+    missing = str(tmp_path / "missing.gks")
+    for args, text in ((["run", "--alg", "det", "--gen", "random", "--k", "x", "--sizes", "3"],
+                        "'--k'"),
+                       (gen + ["--sizes", "3", "--steps", "x"], "'--steps'"),
+                       (["run", "--alg", "det", "--seq", missing], "'--seq'"),
+                       (["run", "--alg", "bogus", "--gen", "random", "--k", "2", "--sizes", "3"],
+                        "'--alg'"),
+                       (["certify", "--transcript", missing], "'--transcript'"),
+                       (["bogus"], "No such command"),
+                       (["run", "--bogus"], "No such option")):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, (args, result.output)
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "Error: " in result.stderr and text in result.stderr, result.stderr
 
 
 def test_opt_command(runner, seq_file):

@@ -5,7 +5,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gks.core import (
@@ -19,8 +19,15 @@ from gks.core import (
     weighted_distance,
     write_sequence,
 )
-from gks.algorithms import read_transcript
-from gks.certify import read_certificate
+from gks.adversaries import random_sequence
+from gks.algorithms import GenericAlgorithm, read_transcript, write_transcript
+from gks.certify import (
+    build_phase_matrix,
+    forced_rows,
+    phases_of,
+    read_certificate,
+    write_certificate,
+)
 
 
 def test_satisfies_examples():
@@ -185,3 +192,63 @@ def test_transcript_and_certificate_errors_carry_line_numbers(reader, text, line
     with pytest.raises(SequenceFormatError) as exc:
         reader(io.StringIO(text))
     assert exc.value.line == line
+
+
+def _valid_files():
+    """(reader, lines, indices of data rows) for one file of each format."""
+    inst = Instance.make([3, 2, 4], ["1", "3/2", "7"])
+    seq = io.StringIO()
+    write_sequence(seq, inst, random_sequence(inst, 8, seed=1))
+    unit = Instance.uniform(2, 3)
+    alg = GenericAlgorithm(unit)
+    alg.run(random_sequence(unit, 12, seed=2))
+    tsv = io.StringIO()
+    write_transcript(tsv, unit, alg.transcript, meta={"alg": "det", "seed": 0})
+    cert = io.StringIO()
+    _, phase, _ = phases_of(alg.transcript)[0]
+    write_certificate(cert, unit, build_phase_matrix(forced_rows(phase), unit.k))
+    files = []
+    for reader, f in ((read_sequence, seq), (read_transcript, tsv), (read_certificate, cert)):
+        lines = f.getvalue().splitlines()
+        rows = [] if reader is read_certificate else \
+            [i for i in range(4, len(lines)) if not lines[i].startswith("#")]
+        files.append((reader, lines, rows))
+    return files
+
+
+VALID_FILES = _valid_files()
+# no character that `str.splitlines` treats as a line break
+line_text = st.text(st.one_of(st.sampled_from("0123456789,\t =/-#.klxMAB"),
+                              st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"))),
+                    max_size=12)
+
+
+@st.composite
+def mutated_files(draw):
+    reader, lines, rows = draw(st.sampled_from(VALID_FILES))
+    i = draw(st.integers(0, len(lines) - 1))
+    line = lines[i]
+    at = draw(st.integers(0, len(line)))
+    new = draw(st.one_of(
+        line_text.map(lambda t: [t]),                                     # replace the line
+        st.just([]),                                                      # delete it
+        st.just([line, line]),                                            # repeat it
+        line_text.map(lambda t: [line[:at] + t + line[at:]]),             # insert text
+        line_text.map(lambda t: [line[:at] + t + line[at + 1:]]),         # overwrite a char
+        st.just([line[:at] + line[at + 1:]]),                             # drop a char
+    ))
+    mutated = lines[:i] + new + lines[i + 1:]
+    own_line = i + 1 if len(new) == 1 and i in rows else None
+    return reader, "\n".join(mutated) + "\n", own_line
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_files())
+def test_mutated_files_parse_or_report_their_line(case):
+    reader, text, own_line = case
+    try:
+        reader(io.StringIO(text))
+    except SequenceFormatError as e:
+        assert 1 <= e.line <= len(text.splitlines()) + 1, (e, text)
+        if own_line is not None:
+            assert e.line == own_line, (e, text)

@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gks.core import (
     ContractViolationError,
@@ -26,7 +28,7 @@ from gks.spaces import (
     split,
 )
 
-from helpers import all_configs, exhaustive_feasible
+from helpers import NaiveFamily, all_configs, exhaustive_feasible
 
 
 def test_dimension_examples():
@@ -216,7 +218,7 @@ def test_recreating_a_destroyed_pattern_is_an_invariant_violation():
     # (0,None) splits into (0,0) on request (1,0); a log claiming (0,0) was
     # created earlier and is gone means a destroyed pattern came back
     fam = FeasibleFamily.initial((0, 1))
-    fam.created[(0, 0)] = 0
+    fam.created.add(fam.mask((0, 0)))
     with pytest.raises(InvariantViolationError):
         fam.update((1, 0))
     honest = FeasibleFamily.initial((0, 1))
@@ -244,3 +246,55 @@ def test_creation_bound_values():
     assert creation_bound(3, 0) == 6
     assert creation_bound(4, 1) == 24
     assert creation_bound(5, 5) == 1
+
+
+def assert_same_family(fam, naive):
+    assert set(fam) == naive.alive
+    assert fam.duplicate_creations == naive.duplicate_creations
+    assert fam.created_by_dimension() == naive.created_by_dimension()
+    assert fam.max_dimension_set() == naive.max_dimension_set()
+
+
+def run_against_naive(requests, currents):
+    """Drive FeasibleFamily and the naive tuple-set family side by side,
+    opening a fresh phase whenever the family empties."""
+    fam = naive = None
+    for r, current in zip(requests, currents):
+        if fam is None:
+            fam, naive = FeasibleFamily.initial(r), NaiveFamily(r)
+        else:
+            assert fam.update(r) == naive.update(r)
+            if not naive.alive:
+                assert len(fam) == 0
+                fam = naive = None
+                continue
+        assert_same_family(fam, naive)
+        assert fam.nearest_member(current) == naive.nearest_member(current)
+
+
+@st.composite
+def family_runs(draw):
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(2, 4))
+    point = st.tuples(*[st.integers(0, n - 1)] * k)
+    steps = draw(st.integers(1, 40))
+    return (draw(st.lists(point, min_size=steps, max_size=steps)),
+            draw(st.lists(point, min_size=steps, max_size=steps)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(family_runs())
+def test_family_matches_naive_tuple_family(run):
+    run_against_naive(*run)
+
+
+def test_family_matches_naive_beyond_31_coordinates():
+    # the mask layout needs no per-coordinate cap
+    rng = random.Random(33)
+    k = 33
+    requests = [tuple(rng.randrange(2) for _ in range(k)) for _ in range(4)]
+    currents = [tuple(rng.randrange(2) for _ in range(k)) for _ in range(4)]
+    run_against_naive(requests, currents)
+    wide = FeasibleFamily.initial(tuple(range(40)))
+    assert wide.update(tuple(range(1, 41)))
+    assert len(wide) == 40 * 39 and wide.max_dimension_stats() == (38, 40 * 39)
