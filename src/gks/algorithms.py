@@ -5,7 +5,8 @@ configuration feasible for the whole phase, a deterministic one that follows
 a tracked subspace, and a randomized one that draws the subspace uniformly
 from the maximal-dimension ones.  A separate exact tracker evolves the
 probability distribution of the randomized algorithm's subspace in rational
-arithmetic, for audits.
+arithmetic, for audits.  All of them, tracker included, split the requests
+into phases by one rule, `next_family`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Sequence, Union
+from typing import IO, Iterable, Iterator, Sequence, Union
 
 from .core import (
     Config,
@@ -29,6 +30,7 @@ from .core import (
     header_lines,
     parse_fraction,
     parse_int,
+    parse_ints,
     parse_point,
     read_header,
     satisfies,
@@ -59,17 +61,35 @@ class Step:
 
 @dataclass(slots=True)
 class PhaseSummary:
-    """Per-phase accounting emitted when a phase closes (or the run ends)."""
+    """Per-phase accounting: counted as the phase runs, completed at its close
+    (or when the run ends)."""
 
     phase: int
-    requests: int
-    moves: int
-    shrinks: int
-    cost: Union[int, Fraction]
-    complete: bool
-    created_by_dim: dict
-    duplicate_creations: int
+    requests: int = 0
+    moves: int = 0
+    shrinks: int = 0
+    cost: Union[int, Fraction] = 0
+    complete: bool = False
+    created_by_dim: dict = field(default_factory=dict)
+    duplicate_creations: int = 0
     adopted_spaces: int | None = None
+
+
+def next_family(family: FeasibleFamily | None,
+                r: Request) -> tuple[FeasibleFamily, bool, bool]:
+    """The phase rule: (family after r, whether r opened a phase, whether the
+    feasible union shrank).
+
+    A phase ends when no configuration is feasible for all of its requests;
+    the request that empties the family opens the next phase, whose family
+    is that request's alone.  `family` is updated in place; None means no
+    phase is open yet.
+    """
+    if family is not None:
+        shrunk = family.update(r)
+        if family.spaces:
+            return family, False, shrunk
+    return FeasibleFamily.initial(r), True, True
 
 
 def nearest_space(family: FeasibleFamily, current: Config) -> Pattern:
@@ -81,14 +101,14 @@ class OnlineAlgorithm:
     """Shared phase and transcript machinery for the unit-weight algorithms.
 
     State: current configuration, cumulative cost, 1-based phase counter,
-    the phase's feasible family, and optionally the full transcript.  After
-    `serve(r)` the current configuration satisfies r and the cost grew by
-    the move's Hamming distance.
+    the phase's feasible family (never empty once a request is served), one
+    `PhaseSummary` per phase opened so far, and optionally the full
+    transcript.  After `serve(r)` the current configuration satisfies r and
+    the cost grew by the move's Hamming distance.
     """
 
     alg_id = "?"
     randomized = False
-    seeds_next_phase = True
 
     def __init__(self, instance: Instance, start: Sequence[int] | None = None,
                  keep_transcript: bool = True):
@@ -107,79 +127,39 @@ class OnlineAlgorithm:
         self.transcript: list[Step] | None = [] if keep_transcript else None
         self.phase_summaries: list[PhaseSummary] = []
         self._step_index = 0
-        self._acc: dict | None = None
-        self._finalized = False
-
-    # -- phase bookkeeping --------------------------------------------------
-
-    def _open_phase(self) -> None:
-        self._acc = {"requests": 0, "moves": 0, "shrinks": 0, "cost": 0}
-        self._on_phase_start()
 
     def _close_phase(self, complete: bool) -> None:
-        if self._acc is None:
-            return
-        fam = self.family
-        self.phase_summaries.append(PhaseSummary(
-            phase=self.phase,
-            requests=self._acc["requests"],
-            moves=self._acc["moves"],
-            shrinks=self._acc["shrinks"],
-            cost=self._acc["cost"],
-            complete=complete,
-            created_by_dim=fam.created_by_dimension() if fam is not None else {},
-            duplicate_creations=fam.duplicate_creations if fam is not None else 0,
-            adopted_spaces=self._adopted_count(),
-        ))
-        self._acc = None
+        """Fill in the open phase's summary from the family it ends with."""
+        summary, fam = self.phase_summaries[-1], self.family
+        summary.complete = complete
+        summary.created_by_dim = fam.created_by_dimension()
+        summary.duplicate_creations = fam.duplicate_creations
+        summary.adopted_spaces = self._adopted_count()
 
     def finalize(self) -> None:
-        """Emit the summary of the trailing (incomplete) phase, once."""
-        if not self._finalized:
+        """Fill in the summary of the trailing (incomplete) phase."""
+        if self.phase_summaries:
             self._close_phase(complete=False)
-            self._finalized = True
-
-    def _on_phase_start(self) -> None:
-        pass
 
     def _adopted_count(self) -> int | None:
         return None
 
-    # -- serving ------------------------------------------------------------
-
     def serve(self, r: Sequence[int]) -> Step:
         r = self.instance.check_coords(r)
         pre = self.current
-        phase_start = False
-        fresh = False       # phase restarted because the family emptied
-        terminal = False    # family emptied and this algorithm does not reseed
-        if self.family is None:
+        family, phase_start, shrunk = next_family(self.family, r)
+        if phase_start:
+            if self.family is not None:
+                if satisfies(pre, r):
+                    raise InvariantViolationError(
+                        "family emptied by a request the current state satisfies"
+                    )
+                self._close_phase(complete=True)
+            self.family = family
             self.phase += 1
-            self.family = FeasibleFamily.initial(r)
-            self._open_phase()
-            phase_start = True
-            shrunk = True
-        else:
-            changed = self.family.update(r)
-            if len(self.family) == 0:
-                if self.seeds_next_phase:
-                    if satisfies(pre, r):
-                        raise InvariantViolationError(
-                            "family emptied by a request the current state satisfies"
-                        )
-                    self._close_phase(complete=True)
-                    self.phase += 1
-                    self.family = FeasibleFamily.initial(r)
-                    self._open_phase()
-                    phase_start = True
-                    fresh = True
-                else:
-                    terminal = True
-                shrunk = True
-            else:
-                shrunk = changed
+            self.phase_summaries.append(PhaseSummary(self.phase))
 
-        post = self._serve(r, phase_start=phase_start, fresh=fresh, terminal=terminal)
+        post = self._serve(r, phase_start)
         if not satisfies(post, r):
             raise InvariantViolationError(f"post-state {post} does not satisfy request {r}")
         cost = hamming(pre, post)
@@ -187,28 +167,19 @@ class OnlineAlgorithm:
         self.total_cost += cost
         self._step_index += 1
 
-        if self.family is not None and len(self.family) > 0:
-            fam_size = len(self.family)
-            max_dim, max_count = self.family.max_dimension_stats()
-        else:
-            fam_size = max_dim = max_count = 0
-
+        max_dim, max_count = family.max_dimension_stats()
         step = Step(
             index=self._step_index, phase=self.phase, request=r, pre=pre, post=post,
-            cost=cost, family_size=fam_size, max_dim=max_dim, max_count=max_count,
+            cost=cost, family_size=len(family), max_dim=max_dim, max_count=max_count,
             moved=post != pre, shrunk=shrunk, phase_start=phase_start,
         )
-        acc = self._acc
-        acc["requests"] += 1
-        acc["moves"] += step.moved
-        acc["shrinks"] += shrunk
-        acc["cost"] += cost
+        summary = self.phase_summaries[-1]
+        summary.requests += 1
+        summary.moves += step.moved
+        summary.shrinks += shrunk
+        summary.cost += cost
         if self.transcript is not None:
             self.transcript.append(step)
-
-        if terminal:
-            self._close_phase(complete=True)
-            self.family = None
         return step
 
     def run(self, requests: Iterable[Sequence[int]]) -> list[Step]:
@@ -216,7 +187,7 @@ class OnlineAlgorithm:
         self.finalize()
         return steps
 
-    def _serve(self, r: Request, phase_start: bool, fresh: bool, terminal: bool) -> Config:
+    def _serve(self, r: Request, phase_start: bool) -> Config:
         raise NotImplementedError
 
 
@@ -224,28 +195,14 @@ class GenericAlgorithm(OnlineAlgorithm):
     """Move only when forced, to the nearest configuration feasible for the phase.
 
     Ties go to the lexicographically smallest configuration, which keeps
-    runs reproducible.  `seed_next_phase=False` switches to the
-    variant where the request that exhausts a phase still belongs to it and
-    the next phase only opens at the following request.
+    runs reproducible.
     """
 
     alg_id = "det"
 
-    def __init__(self, instance: Instance, start: Sequence[int] | None = None,
-                 keep_transcript: bool = True, seed_next_phase: bool = True):
-        super().__init__(instance, start, keep_transcript)
-        self.seeds_next_phase = seed_next_phase
-
-    def _serve(self, r, phase_start, fresh, terminal):
+    def _serve(self, r, phase_start):
         if satisfies(self.current, r):
-            if fresh or terminal:
-                raise InvariantViolationError(
-                    "satisfied request cannot exhaust the phase"
-                )
             return self.current
-        if terminal:
-            # serve only r; the family is already empty
-            return FeasibleFamily.initial(r).nearest_member(self.current)
         return self.family.nearest_member(self.current)
 
 
@@ -255,26 +212,23 @@ class _SpaceFollower(OnlineAlgorithm):
     Stays put while the adopted pattern survives the update; once any of its
     members turns infeasible the whole pattern is treated as lost and a new
     one is chosen, even if the occupied configuration itself stayed feasible.
+    A new phase always chooses a new pattern.
     """
 
     space: Pattern | None = None
     _space_mask: int | None = None
 
-    def _on_phase_start(self):
-        # fresh families cannot contain the old pattern; drop it explicitly
-        self.space = None
-        self._space_mask = None
-        self._adopted: set[Pattern] = set()
-
     def _adopted_count(self):
         return len(self._adopted)
 
-    def _serve(self, r, phase_start, fresh, terminal):
-        if not phase_start and self._space_mask in self.family.spaces:
+    def _serve(self, r, phase_start):
+        if phase_start:
+            self._adopted: set[int] = set()
+        elif self._space_mask in self.family.spaces:
             return self.current
         self.space = self._choose()
         self._space_mask = self.family.mask(self.space)
-        self._adopted.add(self.space)
+        self._adopted.add(self._space_mask)
         return member(self.space, self.current)
 
 
@@ -282,20 +236,14 @@ class AlternativeAlgorithm(_SpaceFollower):
     """Follow one tracked subspace; re-select only when it is destroyed.
 
     Stays put while the adopted pattern survives, even if its dimension is
-    no longer maximal; the default re-selection takes the pattern with the
-    cheapest nearest member.
+    no longer maximal; re-selection takes the pattern with the cheapest
+    nearest member (`nearest_space`).
     """
 
     alg_id = "alt"
 
-    def __init__(self, instance: Instance, start: Sequence[int] | None = None,
-                 keep_transcript: bool = True,
-                 space_policy: Callable[[FeasibleFamily, Config], Pattern] | None = None):
-        super().__init__(instance, start, keep_transcript)
-        self.space_policy = space_policy or (lambda fam, cur: nearest_space(fam, cur))
-
     def _choose(self):
-        return self.space_policy(self.family, self.current)
+        return nearest_space(self.family, self.current)
 
 
 class RandomizedAlgorithm(_SpaceFollower):
@@ -345,7 +293,7 @@ class DistributionTracker:
 
     Mirrors the randomized algorithm: surviving maximal patterns keep their
     mass, the mass of destroyed ones is redistributed uniformly over the new
-    maximal set.  The resulting map stays uniform at every step, which the
+    maximal set, and a new phase starts from no mass at all.  The resulting map stays uniform at every step, which the
     audits verify rather than assume.
     """
 
@@ -363,43 +311,24 @@ class DistributionTracker:
     def step(self, r: Sequence[int]) -> TrackerStep:
         r = self.instance.check_coords(r)
         self._index += 1
-        m_prev = self._m
-        size_prev = len(self.masses)
-
-        phase_start = False
-        if self.family is None:
-            phase_start = True
-        else:
-            self.family.update(r)
-            if len(self.family) == 0:
-                phase_start = True
+        m_prev, size_prev = self._m, len(self.masses)
+        self.family, phase_start, _ = next_family(self.family, r)
         if phase_start:
             self.phase += 1
-            self.family = FeasibleFamily.initial(r)
+            self.masses = {}
 
         m, top = self.family.max_dimension_set()
-        if phase_start:
-            survivors_mass = Fraction(0)
-            destroyed = size_prev
-        else:
-            survivors_mass = sum(
-                (self.masses[p] for p in top if p in self.masses), Fraction(0)
-            )
-            destroyed = size_prev - sum(1 for p in top if p in self.masses)
-        p_move = 1 - survivors_mass
+        kept = {p: self.masses[p] for p in top if p in self.masses}
+        p_move = 1 - sum(kept.values(), Fraction(0))
         share = p_move / len(top)
-        new_masses = {
-            p: (self.masses.get(p, Fraction(0)) if not phase_start else Fraction(0)) + share
-            for p in top
-        }
-        self.masses = new_masses
+        self.masses = {p: kept.get(p, Fraction(0)) + share for p in top}
         self._m = m
 
         rec = TrackerStep(
             index=self._index, phase=self.phase, phase_start=phase_start,
             m_prev=m_prev, size_prev=size_prev, m_cur=m, size_cur=len(top),
-            destroyed_maximal=destroyed, p_move=p_move,
-            patterns=tuple(top), masses=new_masses,
+            destroyed_maximal=size_prev - len(kept), p_move=p_move,
+            patterns=tuple(top), masses=self.masses,
         )
         self.steps.append(rec)
         return rec
@@ -461,22 +390,38 @@ def write_transcript(dest: Union[str, Path, IO[str]], instance: Instance,
     write_lines(dest, lines)
 
 
+def _read_state(instance: Instance, text: str, lineno: int, what: str) -> Config:
+    """k non-negative indices: a weighted run may park a server on a virtual
+    point, an index past its metric's last real point."""
+    try:
+        state = parse_ints(text)
+    except InvalidInputError as e:
+        raise SequenceFormatError(str(e), lineno) from e
+    if len(state) != instance.k or min(state) < 0:
+        raise SequenceFormatError(
+            f"{what} {text!r} is not {instance.k} non-negative indices", lineno)
+    return state
+
+
 def read_transcript(src: Union[str, Path, IO[str]]) -> tuple[Instance, list[Step]]:
-    """Parse a transcript; tuples are checked against the header's instance."""
+    """Parse a transcript; requests are checked against the header's
+    instance, pre- and post-states only for width and sign."""
     lines = ContentLines(src)
     instance = read_header(lines, TRANSCRIPT_HEADER)
     steps: list[Step] = []
     prev_phase = 0
-    points: dict[str, Config] = {}  # each distinct tuple text is parsed and checked once
+    points: dict[tuple[str, bool], Config] = {}  # (text, is a state) -> tuple, checked once
     for lineno, line in lines:
         parts = line.split("\t")
         if len(parts) != 9:
             raise SequenceFormatError(f"expected 9 tab-separated fields, got {len(parts)}", lineno)
         row = []
-        for text, what in zip(parts[2:5], ("request", "pre-state", "post-state")):
-            point = points.get(text)
+        for i, text in enumerate(parts[2:5]):
+            point = points.get((text, i > 0))
             if point is None:
-                point = points[text] = parse_point(instance, text, lineno, what)
+                read = _read_state if i else parse_point
+                what = ("request", "pre-state", "post-state")[i]
+                point = points[text, i > 0] = read(instance, text, lineno, what)
             row.append(point)
         request, pre, post = row
         try:

@@ -38,6 +38,7 @@ from .core import (
     satisfies,
     write_lines,
 )
+from .spaces import creation_bound
 
 CERT_HEADER = "gks-cert v1"
 
@@ -62,8 +63,7 @@ def potential_value(max_count: int, max_dim: int, k: int) -> Fraction:
     """Potential of a family with `max_count` patterns of dimension `max_dim`."""
     if max_count <= 0:
         return Fraction(0)
-    kfac = math.factorial(k)
-    args = [max_count] + [kfac // math.factorial(d) for d in range(max_dim)]
+    args = [max_count] + [creation_bound(k, d) for d in range(max_dim)]
     if max(args) > HARMONIC_EXACT_LIMIT:
         raise InvalidInputError(
             f"potential audits need H(n) for n up to {max(args)}, above the exact "
@@ -141,40 +141,30 @@ def build_phase_matrix(rows: Sequence[tuple[Config, Request]], k: int,
     M = [[poly_eval(q, r) for r in requests] for q in states]
     A = B = None
     if k <= max_materialize_k:
-        n_subsets = 1 << k
-        A = []
-        for q in states:
-            row = []
-            for mask in range(n_subsets):
-                prod = 1
-                for i in range(k):
-                    if mask & (1 << i):
-                        prod *= q[i]
-                row.append(prod)
-            A.append(row)
-        B = []
-        for mask in range(n_subsets):
-            sign = -1 if (k - mask.bit_count()) % 2 else 1
-            row = []
-            for r in requests:
-                prod = 1
-                for i in range(k):
-                    if not mask & (1 << i):
-                        prod *= r[i]
-                row.append(sign * prod)
-            B.append(row)
+        A = [_subset_products(q) for q in states]
+        B = [list(row) for row in zip(*map(_complement_products, requests))]
     return PhaseCertificate(k=k, length=ell, states=states, requests=requests,
                             M=M, A=A, B=B)
 
 
-def _monomial_expansion(q: Config, r: Request, k: int) -> int:
-    total = 0
-    for mask in range(1 << k):
-        prod = 1
-        for i in range(k):
-            prod *= q[i] if mask & (1 << i) else -r[i]
-        total += prod
-    return total
+def _subset_products(values: Sequence[int]) -> list[int]:
+    """Product of `values` over every coordinate subset, by ascending bitmask
+    (bit i set means coordinate i belongs to the subset)."""
+    out = [1]
+    for v in values:
+        out += [x * v for x in out]
+    return out
+
+
+def _complement_products(r: Request) -> list[int]:
+    """B's column for request r: by subset, the product of -r_i over the
+    coordinates outside it."""
+    return _subset_products([-x for x in r])[::-1]
+
+
+def _monomial_expansion(q: Config, r: Request) -> int:
+    """The difference product at (q, r), summed monomial by monomial."""
+    return sum(a * b for a, b in zip(_subset_products(q), _complement_products(r)))
 
 
 def verify_certificate(cert: PhaseCertificate) -> CertificateVerdicts:
@@ -197,7 +187,7 @@ def verify_certificate(cert: PhaseCertificate) -> CertificateVerdicts:
         )
     else:
         factorization = all(
-            M[t][tp] == _monomial_expansion(cert.states[t], cert.requests[tp], cert.k)
+            M[t][tp] == _monomial_expansion(cert.states[t], cert.requests[tp])
             for t in range(ell) for tp in range(ell)
         )
     return CertificateVerdicts(triangular, diagonal, factorization)
@@ -322,10 +312,9 @@ class FamilyCountAudit:
 
 def audit_family_counts(created_by_dim: Mapping[int, int], k: int) -> FamilyCountAudit:
     """Distinct patterns created per dimension must stay within k!/d!."""
-    kfac = math.factorial(k)
     violations = []
     for d, count in sorted(created_by_dim.items()):
-        bound = kfac // math.factorial(d)
+        bound = creation_bound(k, d)
         if count > bound:
             violations.append(f"dimension {d}: created {count} > bound {bound}")
     return FamilyCountAudit(not violations, tuple(violations))

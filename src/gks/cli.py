@@ -47,6 +47,8 @@ EXIT_INPUT = 1
 EXIT_VIOLATION = 2
 EXIT_RESOURCE = 3
 
+UNIFORM_ONLY = "certificates apply to the uniform algorithms"
+
 
 def _fail(code: int, message: str):
     click.echo(f"error: {message}", err=True)
@@ -132,7 +134,7 @@ def _write_report(report: dict, out: str | None):
 
 def _build_algorithm(alg: str, instance: Instance, seed: int, start):
     if alg == "weighted":
-        return WeightedAlgorithm(instance, start=start)
+        return _guard(WeightedAlgorithm, instance, start=start)
     cls = ALGORITHMS[alg]
     if cls is RandomizedAlgorithm:
         return _guard(cls, instance, seed, start=start)
@@ -241,7 +243,7 @@ def main():
               help="Request sequence file")
 @click.option("--gen", type=click.Choice(["random", "evasive"]), default=None,
               help="Generate the sequence instead of reading one")
-@click.option("--steps", type=int, default=1000, show_default=True)
+@click.option("--steps", type=click.IntRange(min=0), default=1000, show_default=True)
 @click.option("--k", type=int, default=None)
 @click.option("--sizes", type=str, default=None, help="Comma list, or one value for all metrics")
 @click.option("--weights", type=str, default=None, help="Comma list of integers or p/q rationals")
@@ -264,7 +266,7 @@ def cmd_run(alg, seq_file, gen, steps, k, sizes, weights, seed, seeds, jobs,
     if (seq_file is None) == (gen is None):
         _fail(EXIT_INPUT, "provide exactly one of --seq or --gen")
     if with_certify and alg == "weighted":
-        _fail(EXIT_INPUT, "certificates apply to the uniform algorithms")
+        _fail(EXIT_INPUT, UNIFORM_ONLY)
     if seq_file is not None:
         instance, requests = _guard(read_sequence, seq_file)
     else:
@@ -336,7 +338,7 @@ def cmd_opt(seq_file, start, state_cap, work_cap, trace_wf):
 @click.option("--adversary", type=click.Choice(["antipodal"]), default="antipodal",
               show_default=True)
 @click.option("--k", type=int, required=True)
-@click.option("--rounds", type=int, default=20, show_default=True)
+@click.option("--rounds", type=click.IntRange(min=0), default=20, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--start", type=str, default=None)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
@@ -372,6 +374,8 @@ def cmd_certify(transcript_file, alg, seq_file, seed, cert_out):
         _fail(EXIT_INPUT, "provide exactly one of --transcript or --alg with --seq")
     if transcript_file is not None:
         instance, steps = _guard(read_transcript, transcript_file)
+        if not instance.is_unit_uniform:
+            _fail(EXIT_INPUT, UNIFORM_ONLY)
     else:
         if seq_file is None:
             _fail(EXIT_INPUT, "--alg needs --seq")

@@ -47,10 +47,6 @@ class ConstantTable:
                 if i < 1 or v < 1:
                     raise InvalidInputError(f"bad scaled constant c({i})={v}")
 
-    @property
-    def is_default(self) -> bool:
-        return self._c is None
-
     def c(self, i: int) -> int:
         if i < 1:
             raise InvalidInputError(f"level index must be >= 1, got {i}")

@@ -109,18 +109,6 @@ def test_phase_shrink_bound_random_runs():
                 assert ps.shrinks <= 2 ** k
 
 
-def test_generic_terminal_phase_switch():
-    inst = Instance.uniform(2, 2)
-    alg = GenericAlgorithm(inst, start=(1, 0), seed_next_phase=False)
-    steps = [alg.serve(r) for r in [(0, 1), (1, 0), (1, 1), (0, 0), (1, 1)]]
-    # the exhausting request stays in phase 1; the next one opens phase 2
-    assert [s.phase for s in steps] == [1, 1, 1, 1, 2]
-    assert satisfies(steps[3].post, (0, 0))
-    alg.finalize()
-    assert alg.phase_summaries[0].complete
-    assert alg.phase_summaries[0].requests == 4
-
-
 def test_alternative_keeps_surviving_space():
     inst = Instance.uniform(2, 3)
     alg = AlternativeAlgorithm(inst, start=(2, 2))
@@ -134,18 +122,15 @@ def test_alternative_keeps_surviving_space():
 
 def test_alternative_reselects_even_if_position_feasible():
     inst = Instance.uniform(2, 2)
-    alg = AlternativeAlgorithm(
-        inst, start=(0, 1),
-        space_policy=lambda fam, cur: sorted(
-            fam, key=lambda p: (0 if p[0] is None else 1,))[0])
-    alg.serve((0, 1))
-    # force adoption of (*,1): pick the pattern with a free first slot
-    assert alg.space == (None, 1)
-    step = alg.serve((0, 0))
-    # (*,1) is destroyed although the position (0,1) satisfies (0,0);
-    # the algorithm re-selects (and here happens to stay put at zero cost)
-    assert alg.space != (None, 1)
-    assert step.cost == 0 and step.post == (0, 1)
+    alg = AlternativeAlgorithm(inst, start=(0, 0))
+    alg.serve((0, 0))
+    # both initial patterns cost 0; (*,0) comes first in canonical order
+    assert alg.space == (None, 0)
+    step = alg.serve((0, 1))
+    # (*,0) is destroyed although the position (0,0) satisfies (0,1);
+    # the algorithm re-selects (0,*) and here stays put at zero cost
+    assert alg.space == (0, None)
+    assert step.cost == 0 and step.post == (0, 0)
 
 
 def test_alternative_adopted_spaces_bound():

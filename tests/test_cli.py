@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
+from gks.algorithms import read_transcript, transcript_lines
 from gks.cli import exact_decimal, main
 from gks.core import Instance, write_sequence
 
@@ -114,11 +115,17 @@ def test_run_flag_validation(runner, seq_file, tmp_path):
                   ["--sizes", "3", "--seeds", "1,x"], ["--sizes", "3,3,3"],
                   ["--sizes", "3", "--weights", "1,1,1"], ["--sizes", "3", "--start", "0,x"]):
         assert_input_error(runner.invoke(main, gen + flags))
+    # the weighted algorithm rejects descending weights when it is built
+    assert_input_error(runner.invoke(main, ["run", "--alg", "weighted", "--gen", "random",
+                                            "--k", "2", "--sizes", "3", "--weights", "3,1"]),
+                       "weights must be ascending")
     # values click rejects itself end with its usage message, but also exit 1
     missing = str(tmp_path / "missing.gks")
     for args, text in ((["run", "--alg", "det", "--gen", "random", "--k", "x", "--sizes", "3"],
                         "'--k'"),
                        (gen + ["--sizes", "3", "--steps", "x"], "'--steps'"),
+                       (gen + ["--sizes", "3", "--steps", "-5"], "'--steps'"),
+                       (["duel", "--k", "2", "--rounds", "-1"], "'--rounds'"),
                        (["run", "--alg", "det", "--seq", missing], "'--seq'"),
                        (["run", "--alg", "bogus", "--gen", "random", "--k", "2", "--sizes", "3"],
                         "'--alg'"),
@@ -244,3 +251,30 @@ def test_weighted_run_report(runner, tmp_path):
     assert anatomy["rounded_weights"] == [1, 12]
     assert report["cost_units"] == "rounded-normalized"
     assert "opt" in report and "ratio" in report
+
+
+WEIGHTED_EVASIVE = ["run", "--alg", "weighted", "--gen", "evasive", "--k", "2", "--sizes", "3",
+                    "--weights", "1,7", "--steps", "400"]
+
+
+def test_weighted_transcript_roundtrip(runner, tmp_path):
+    transcript = tmp_path / "w.tsv"
+    result = runner.invoke(main, WEIGHTED_EVASIVE + ["--transcript-out", str(transcript)])
+    assert result.exit_code == 0, result.output
+    inst, steps = read_transcript(transcript)
+    assert inst == Instance.make([3, 3], [1, 7])
+    # the tour parks servers on virtual points, past the metric's last point
+    assert any(x >= 3 for s in steps for x in s.pre + s.post)
+    rows = [line for line in transcript.read_text().splitlines()
+            if line and not line.startswith(("gks", "k=", "sizes=", "weights=", "#"))]
+    assert list(transcript_lines(steps)) == rows
+
+
+def test_certify_refuses_weighted_transcript(runner, tmp_path):
+    transcript = tmp_path / "w.tsv"
+    result = runner.invoke(main, WEIGHTED_EVASIVE + ["--transcript-out", str(transcript)])
+    assert result.exit_code == 0, result.output
+    refused = runner.invoke(main, ["certify", "--transcript", str(transcript)])
+    assert_input_error(refused, "certificates apply to the uniform algorithms")
+    inline = runner.invoke(main, WEIGHTED_EVASIVE + ["--certify"])
+    assert_input_error(inline, "certificates apply to the uniform algorithms")

@@ -173,6 +173,11 @@ CERT = ("gks-cert v1\nk=1\nsizes=5\nweights=1\nl=2\n"
     (read_transcript, TSV_ROWS.replace("3\t1\t1,1,1", "3\t1\t9,9,9", 1), 8),
     (read_transcript, TSV_ROWS.replace("\t3\t2\t3\n", "\t3\t2\n", 1), 6),
     (read_transcript, TSV_ROWS.replace("\t1\t3\t", "\tone\t3\t", 1), 6),
+    (read_transcript, TSV_ROWS.replace("3\t1\t1,1,1\t0,0,0\t1,0,0", "3\t1\t1,1,1\t0,0,0\t7,0,0"),
+     None),
+    (read_transcript, TSV_ROWS.replace("3\t1\t1,1,1\t0,0,0", "3\t1\t1,1,1\t-1,0,0"), 8),
+    (read_transcript, TSV_ROWS.replace("3\t1\t1,1,1\t0,0,0\t1,0,0", "3\t1\t1,1,1\t0,0,0\t1,0"),
+     8),
     (read_certificate, CERT, None),
     (read_certificate, CERT[:CERT.index("l=")], 5),
     (read_certificate, CERT.replace("k=1", "k=x"), 2),
@@ -183,6 +188,7 @@ CERT = ("gks-cert v1\nk=1\nsizes=5\nweights=1\nl=2\n"
     (read_certificate, CERT + "5 5\n", 15),
     (read_certificate, CERT[:CERT.index("B")], 12),
 ], ids=["tsv-ok", "tsv-eof", "tsv-k", "tsv-range", "tsv-fields", "tsv-cost",
+        "tsv-virtual-state", "tsv-negative-state", "tsv-state-width",
         "cert-ok", "cert-eof", "cert-k", "cert-l", "cert-width", "cert-int", "cert-label",
         "cert-trailing", "cert-no-b"])
 def test_transcript_and_certificate_errors_carry_line_numbers(reader, text, line):

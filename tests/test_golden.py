@@ -14,7 +14,14 @@ import pytest
 from click.testing import CliRunner
 
 from gks.adversaries import random_sequence, run_evasive
-from gks.algorithms import GenericAlgorithm, RandomizedAlgorithm, write_transcript
+from gks.algorithms import (
+    ALGORITHMS,
+    DistributionTracker,
+    GenericAlgorithm,
+    RandomizedAlgorithm,
+    replay_space_choices,
+    write_transcript,
+)
 from gks.certify import certify_transcript, write_certificate
 from gks.cli import main
 from gks.core import Instance, write_sequence
@@ -74,3 +81,35 @@ def test_report_bytes(tmp_path, args, digest):
     texts = [(tmp_path / f).read_text() for f in files]
     assert WALL_LINE.search(texts[0])
     assert sha(WALL_LINE.sub("", texts[0]) + "".join(texts[1:])) == digest
+
+
+@pytest.mark.parametrize("alg_id,digest", [
+    ("det", "9e1b1a9b72aef6583e7be246db9bddd0e655bb374ca5e8d158899120ddad5391"),
+    ("alt", "2a07958a175f46e149ed632506adf96c76a303e297f1e6e8a4849400571fe259"),
+    ("rand", "03f2a664c04b41973411722124ed11421420160c034fbc4a1334c22c8a1d3363"),
+])
+def test_phase_summaries(alg_id, digest):
+    """Every PhaseSummary field, including the family counts reports leave out."""
+    text = []
+    for k, n, traffic in ((3, 3, "random"), (4, 2, "evasive"), (5, 3, "evasive")):
+        inst = Instance.uniform(k, n)
+        cls = ALGORITHMS[alg_id]
+        alg = cls(inst, 11) if cls is RandomizedAlgorithm else cls(inst)
+        if traffic == "random":
+            alg.run(random_sequence(inst, 300, seed=k))
+        else:
+            run_evasive(alg, 300, seed=k)
+        text.append(repr(alg.phase_summaries))
+    assert sha("\n".join(text)) == digest
+
+
+def test_tracker_trace_and_replay():
+    """Every TrackerStep field, then the replayed choices for two seeds."""
+    text = []
+    for k, n in ((3, 3), (4, 2)):
+        inst = Instance.uniform(k, n)
+        trace = DistributionTracker(inst).run(random_sequence(inst, 200, seed=k + n))
+        text.extend(map(repr, trace))
+        for seed in (0, 5):
+            text.append(repr(replay_space_choices(trace, seed, (0,) * k)))
+    assert sha("\n".join(text)) == "2d61cf0e26b2f17ce5f3160eef7a40f78d773117dcf3dceee5001e7a5ca0292a"
