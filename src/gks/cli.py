@@ -250,7 +250,7 @@ def main():
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--seeds", type=str, default=None,
               help="Comma list of seeds; one report per seed")
-@click.option("--jobs", type=int, default=1, show_default=True,
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help="Parallel workers for --seeds sweeps")
 @click.option("--start", type=str, default=None, help="Start configuration, comma list")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
@@ -312,7 +312,8 @@ def cmd_run(alg, seq_file, gen, steps, k, sizes, weights, seed, seeds, jobs,
 @click.option("--seq", "seq_file", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--start", type=str, default=None, help="Start configuration; defaults to all zeros")
 @click.option("--state-cap", type=int, default=10_000, show_default=True)
-@click.option("--work-cap", type=int, default=50_000_000, show_default=True)
+@click.option("--work-cap", type=int, default=50_000_000, show_default=True,
+              help="Cap on requests * k * states, the relaxation's work")
 @click.option("--trace-wf", is_flag=True, default=False,
               help="Also print the cheapest table value after every request")
 def cmd_opt(seq_file, start, state_cap, work_cap, trace_wf):

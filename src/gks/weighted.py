@@ -86,23 +86,19 @@ class RoundedWeights:
     units: tuple[int, ...]          # per level 2..k: the rounding unit
 
 
-def round_weights(weights: Sequence, *, auto_sort: bool = False,
+def round_weights(weights: Sequence, *,
                   table: ConstantTable | None = None) -> RoundedWeights:
     """Normalize by the first weight, then round each level up to the
     smallest integral multiple of twice (1 + c(i-1)) times the previous
-    rounded weight.  Input must be ascending unless auto_sort is set."""
+    rounded weight.  Input must be ascending."""
     table = table or DEFAULT_TABLE
     ws = tuple(Fraction(w) for w in weights)
     if not ws:
         raise InvalidInputError("need at least one weight")
     if any(w <= 0 for w in ws):
         raise InvalidInputError(f"weights must be positive, got {ws}")
-    if auto_sort:
-        ws = tuple(sorted(ws))
-    elif any(a > b for a, b in zip(ws, ws[1:])):
-        raise InvalidInputError(
-            f"weights must be ascending (pass auto_sort=True to sort), got {ws}"
-        )
+    if any(a > b for a, b in zip(ws, ws[1:])):
+        raise InvalidInputError(f"weights must be ascending, got {ws}")
     rounded = [1]
     multipliers = []
     units = []

@@ -29,6 +29,25 @@ def brute_force_opt(instance: Instance, start, requests):
     return best if best is not None else 0
 
 
+def naive_layers(instance: Instance, start, requests):
+    """Every work-function table by its definition.
+
+    Layer 0 maps q to its distance from start; layer t maps q to the
+    minimum, over configurations s satisfying the t-th request, of layer
+    t-1 at s plus the distance from s to q.
+    """
+    configs = all_configs(instance.sizes)
+    weights = instance.weights
+    layer = {q: weighted_distance(tuple(start), q, weights) for q in configs}
+    layers = [layer]
+    for r in requests:
+        serving = [s for s in configs if satisfies(s, r)]
+        layer = {q: min(layer[s] + weighted_distance(s, q, weights) for s in serving)
+                 for q in configs}
+        layers.append(layer)
+    return layers
+
+
 def exhaustive_feasible(sizes, requests):
     """All configurations satisfying every request, by full enumeration."""
     return {q for q in all_configs(sizes)

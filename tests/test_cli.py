@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
+from gks.adversaries import random_sequence
 from gks.algorithms import read_transcript, transcript_lines
 from gks.cli import exact_decimal, main
 from gks.core import Instance, write_sequence
@@ -126,6 +127,8 @@ def test_run_flag_validation(runner, seq_file, tmp_path):
                        (gen + ["--sizes", "3", "--steps", "x"], "'--steps'"),
                        (gen + ["--sizes", "3", "--steps", "-5"], "'--steps'"),
                        (["duel", "--k", "2", "--rounds", "-1"], "'--rounds'"),
+                       (gen + ["--sizes", "3", "--seeds", "1,2", "--jobs", "0"], "'--jobs'"),
+                       (gen + ["--sizes", "3", "--seeds", "1,2", "--jobs", "-3"], "'--jobs'"),
                        (["run", "--alg", "det", "--seq", missing], "'--seq'"),
                        (["run", "--alg", "bogus", "--gen", "random", "--k", "2", "--sizes", "3"],
                         "'--alg'"),
@@ -156,6 +159,19 @@ def test_opt_weighted_rational(runner, tmp_path):
 def test_opt_resource_cap_exit(runner, seq_file):
     result = runner.invoke(main, ["opt", "--seq", str(seq_file), "--work-cap", "1"])
     assert result.exit_code == 3
+
+
+def test_opt_default_caps_cover_k4_n5_t300(runner, tmp_path):
+    # 625 states and 300 requests: 750,000 units of T·k·N work
+    inst = Instance.uniform(4, 5)
+    path = tmp_path / "big.gks"
+    write_sequence(path, inst, random_sequence(inst, 300, seed=1))
+    result = runner.invoke(main, ["opt", "--seq", str(path)])
+    assert result.exit_code == 0, result.output
+    assert int(result.output) > 0
+    result = runner.invoke(main, ["opt", "--seq", str(path), "--work-cap", "1"])
+    assert result.exit_code == 3
+    assert "(= 300 * 4 * 625)" in result.stderr
 
 
 def test_malformed_sequence_exit_and_line(runner, tmp_path):

@@ -83,6 +83,17 @@ def test_report_bytes(tmp_path, args, digest):
     assert sha(WALL_LINE.sub("", texts[0]) + "".join(texts[1:])) == digest
 
 
+def test_opt_trace_bytes(tmp_path):
+    """Every layer minimum of a rational-weight optimum, from a non-zero start."""
+    inst = Instance.make([3, 4, 2], [1, "3/2", 7])
+    path = tmp_path / "w.gks"
+    write_sequence(path, inst, random_sequence(inst, 40, seed=8))
+    result = CliRunner().invoke(main, ["opt", "--seq", str(path), "--start", "2,1,0",
+                                       "--trace-wf"])
+    assert result.exit_code == 0, result.output
+    assert sha(result.output) == "a641b85ca92a929575cbadc8a43c483c4500425cd89cb6dec3bbd397ec90fc55"
+
+
 @pytest.mark.parametrize("alg_id,digest", [
     ("det", "9e1b1a9b72aef6583e7be246db9bddd0e655bb374ca5e8d158899120ddad5391"),
     ("alt", "2a07958a175f46e149ed632506adf96c76a303e297f1e6e8a4849400571fe259"),

@@ -4,13 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gks.core import Instance, ResourceLimitError, weighted_distance
 from gks.algorithms import GenericAlgorithm
 from gks.adversaries import random_sequence
 from gks.offline import opt_cost, work_function_layer, work_function_minima
 
-from helpers import all_configs, brute_force_opt
+from helpers import all_configs, brute_force_opt, naive_layers
 
 
 def test_single_request_example():
@@ -114,6 +116,9 @@ def test_caps_raise_with_offending_product():
     inst2 = Instance.uniform(2, 2)
     with pytest.raises(ResourceLimitError, match="cap"):
         opt_cost(inst2, (0, 0), [(1, 1)] * 100, work_cap=10)
+    with pytest.raises(ResourceLimitError, match=r"\(= 100 \* 2 \* 4\)"):
+        opt_cost(inst2, (0, 0), [(1, 1)] * 100, work_cap=799)
+    assert opt_cost(inst2, (0, 0), [(1, 1)] * 100, work_cap=800) == 1
 
 
 def test_opt_at_least_complete_phases():
@@ -127,3 +132,30 @@ def test_opt_at_least_complete_phases():
         alg.run(seq)
         complete = sum(1 for ps in alg.phase_summaries if ps.complete)
         assert opt_cost(inst, (0,) * k, seq) >= complete
+
+
+@st.composite
+def offline_cases(draw):
+    """An instance with k <= 4, sizes 2..4 and positive rational weights,
+    any start and up to 25 requests."""
+    k = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(2, 4), min_size=k, max_size=k))
+    weights = draw(st.lists(st.builds(Fraction, st.integers(1, 30), st.integers(1, 8)),
+                            min_size=k, max_size=k))
+    point = st.tuples(*(st.integers(0, n - 1) for n in sizes))
+    return Instance.make(sizes, weights), draw(point), draw(st.lists(point, max_size=25))
+
+
+@settings(max_examples=100, deadline=None)
+@given(offline_cases())
+def test_layers_match_naive_definition(case):
+    inst, start, seq = case
+    layers = naive_layers(inst, start, seq)
+    for t, layer in enumerate(layers):
+        assert work_function_layer(inst, start, seq, t) == layer
+    minima = [min(layer.values()) for layer in layers]
+    assert work_function_minima(inst, start, seq) == minima
+    assert opt_cost(inst, start, seq) == minima[-1]
+    # explicit trajectories, while their number stays small
+    if len(seq) <= 4 and inst.state_count() ** len(seq) <= 50_000:
+        assert opt_cost(inst, start, seq) == brute_force_opt(inst, start, seq)

@@ -68,8 +68,6 @@ def test_round_weights_examples():
 def test_round_weights_orders():
     with pytest.raises(InvalidInputError):
         round_weights([7, 1])
-    rw = round_weights([7, 1], auto_sort=True)
-    assert rw.rounded == (1, 12)  # sorted to (1,7): smallest multiple of 6 >= 7
     with pytest.raises(InvalidInputError):
         round_weights([])
     with pytest.raises(InvalidInputError):
