@@ -38,7 +38,7 @@ from .algorithms import (
 )
 from .adversaries import random_sequence, run_closed_loop, run_evasive
 from .certify import certify_transcript, write_certificate
-from .offline import opt_cost, work_function_minima
+from .offline import check_caps, opt_cost, work_function_minima
 from .weighted import WeightedAlgorithm
 
 REPORT_SCHEMA = "gks-report v1"
@@ -313,7 +313,7 @@ def cmd_run(alg, seq_file, gen, steps, k, sizes, weights, seed, seeds, jobs,
 @click.option("--start", type=str, default=None, help="Start configuration; defaults to all zeros")
 @click.option("--state-cap", type=int, default=10_000, show_default=True)
 @click.option("--work-cap", type=int, default=50_000_000, show_default=True,
-              help="Cap on requests * k * states, the relaxation's work")
+              help="Cap on requests * k * (n1-1)*...*(nk-1), the box updates' work")
 @click.option("--trace-wf", is_flag=True, default=False,
               help="Also print the cheapest table value after every request")
 def cmd_opt(seq_file, start, state_cap, work_cap, trace_wf):
@@ -347,6 +347,9 @@ def cmd_opt(seq_file, start, state_cap, work_cap, trace_wf):
 def cmd_duel(alg, adversary, k, rounds, seed, start, out, dump_seq):
     """Closed-loop duel on two-point metrics; reports the measured ratio."""
     instance = _guard(Instance.uniform, k, 2)
+    # every round has at least 2^k - 1 requests, so an optimum out of reach
+    # is refused before serving
+    _guard(check_caps, instance, rounds * (2 ** k - 1))
     start_cfg = _parse_tuple(start, instance, "start configuration") if start else None
     t0 = time.perf_counter()
     algorithm = _build_algorithm(alg, instance, seed, start_cfg)

@@ -1,14 +1,24 @@
 """Exact offline optimum over the full configuration space.
 
-A textbook service-system relaxation: layer t maps every configuration to
-the cheapest cost of serving the first t requests and parking there, where
-serving a request means passing through a configuration that satisfies it.
+The work function: layer t maps every configuration q to the cheapest cost
+of serving the first t requests and parking at q, where serving a request
+means passing through a configuration that satisfies it.  Layer 0 is the
+weighted distance d(start, q) = Σ wᵢ·[startᵢ ≠ qᵢ].
 
-The distance Σ wᵢ·[aᵢ ≠ bᵢ] factors over the axes, so one min-plus step is
-k axis passes v ← min(v, min(axis line) + wᵢ) (the per-axis distance
-transform), O(k·N) per request instead of O(N²).  Weights are scaled once by
-the common denominator, so every table is a list of exact Python ints and
-results come back as Fraction(value, scale).
+Every layer is w-Lipschitz, v[a] ≤ v[b] + d(a, b) (Koutsoupias and
+Papadimitriou, "On the k-server conjecture", J. ACM 1995): layer 0 is a
+distance, and each next layer is a minimum over serving s of v[s] + d(s, ·).
+So a request r changes only the box B(r) = {q : qᵢ ≠ rᵢ for all i} of the
+configurations that miss it:
+
+* a serving q keeps v[q], since no serving s gives less than v[s] + d(s, q);
+* a box cell q becomes minⱼ v[q with qⱼ ← rⱼ] + wⱼ, since every serving s
+  has some sⱼ = rⱼ, and q with qⱼ ← rⱼ serves r and is wⱼ closer to s.
+
+Box cells read only serving cells, so one request updates the table in
+place at O(k·∏(nᵢ − 1)); on two-point metrics the box is a single cell.
+Weights are scaled once by the common denominator, so every table is a list
+of exact Python ints and results come back as Fraction(value, scale).
 """
 
 from __future__ import annotations
@@ -24,66 +34,58 @@ DEFAULT_STATE_CAP = 10_000
 DEFAULT_WORK_CAP = 50_000_000
 
 
-def _check_caps(instance: Instance, steps: int, state_cap: int, work_cap: int) -> int:
+def check_caps(instance: Instance, steps: int, state_cap: int = DEFAULT_STATE_CAP,
+               work_cap: int = DEFAULT_WORK_CAP) -> None:
+    """Raise ResourceLimitError unless the optimum of `steps` requests fits
+    the caps on the table's size and on the box work, steps · k · ∏(nᵢ − 1)."""
     n_states = instance.state_count()
     if n_states > state_cap:
         raise ResourceLimitError(
             f"state space {n_states} exceeds cap {state_cap}"
         )
-    work = steps * instance.k * n_states
+    box = math.prod(n - 1 for n in instance.sizes)
+    work = steps * instance.k * box
     if work > work_cap:
         raise ResourceLimitError(
-            f"relaxation work {work} (= {steps} * {instance.k} * {n_states}) "
-            f"exceeds cap {work_cap}"
+            f"box work {work} (= {steps} * {instance.k} * {box}) exceeds cap {work_cap}"
         )
-    return n_states
-
-
-def _relax(v: list[int], sizes: Sequence[int], weights: Sequence[int]) -> list[int]:
-    """v[q] ← min over s of v[s] + Σ wᵢ·[sᵢ ≠ qᵢ] on a row-major table.
-
-    Each pass relaxes the innermost axis and rotates it to the outermost
-    place, so the k passes run over the axes last to first and leave the
-    layout row-major again.
-    """
-    for n, w in zip(reversed(sizes), reversed(weights)):
-        cols = [v[x::n] for x in range(n)]
-        best = [m + w for m in map(min, *cols)]
-        v = [a if a < b else b for col in cols for a, b in zip(col, best)]
-    return v
 
 
 def _layers(instance: Instance, start: Config, requests: Sequence[Request],
             state_cap: int, work_cap: int):
     """Yield (t, values, scale): values[j] / scale is the layer-t cost of
-    the j-th configuration in row-major (itertools.product) order."""
-    n_states = _check_caps(instance, len(requests), state_cap, work_cap)
+    the j-th configuration in row-major (itertools.product) order.  The one
+    table is updated in place, so read it before advancing."""
+    check_caps(instance, len(requests), state_cap, work_cap)
     start = instance.check_coords(start, what="start configuration")
     sizes = instance.sizes
     scale = math.lcm(*(w.denominator for w in instance.weights))
     weights = [w.numerator * (scale // w.denominator) for w in instance.weights]
     strides = [math.prod(sizes[i + 1:]) for i in range(instance.k)]
-    # above every reachable cost: layer t never exceeds (t + 1) * Σw
-    unreached = (len(requests) + 2) * sum(weights)
 
-    values = [unreached] * n_states
-    values[sum(x * s for x, s in zip(start, strides))] = 0
-    values = _relax(values, sizes, weights)
+    values = [0]
+    for n, w, x in zip(sizes, weights, start):
+        values = [v + (0 if y == x else w) for v in values for y in range(n)]
     yield 0, values, scale
     for t, r in enumerate(requests, start=1):
         instance.check_coords(r)
-        # the configurations serving r are the hyperplanes qᵢ = rᵢ, each
-        # copied as one slice per offset or per block, whichever is fewer
-        served = [unreached] * n_states
-        for s, n, x in zip(strides, sizes, r):
-            block = s * n
-            if s < n_states // block:
-                for j in range(x * s, x * s + s):
-                    served[j::block] = values[j::block]
-            else:
-                for b in range(x * s, n_states, block):
-                    served[b:b + s] = values[b:b + s]
-        values = _relax(served, sizes, weights)
+        # shifts[i]: the index offset from rᵢ to every other point of axis i
+        shifts = [[(y - x) * s for y in range(n) if y != x]
+                  for n, s, x in zip(sizes, strides, r)]
+        box = [sum(x * s for x, s in zip(r, strides))]
+        for shift in shifts:
+            box = [c + d for c in box for d in shift]
+        # per axis j, each box cell's shift along j in box order, undone to
+        # read the serving cell with qⱼ ← rⱼ
+        candidates = []
+        outer = 1
+        for shift, w in zip(shifts, weights):
+            inner = len(box) // (outer * len(shift))
+            back = [d for d in shift for _ in range(inner)] * outer
+            candidates.append([values[c - d] + w for c, d in zip(box, back)])
+            outer *= len(shift)
+        for c, v in zip(box, map(min, zip(*candidates))):
+            values[c] = v
         yield t, values, scale
 
 
@@ -91,7 +93,7 @@ def opt_cost(instance: Instance, start: Sequence[int], requests: Sequence[Reques
              *, state_cap: int = DEFAULT_STATE_CAP,
              work_cap: int = DEFAULT_WORK_CAP) -> Fraction:
     """Exact cheapest total movement that serves every request in order."""
-    start = tuple(start)
+    start = instance.check_coords(start, what="start configuration")
     if not requests:
         return Fraction(0)
     for _, values, scale in _layers(instance, start, requests, state_cap, work_cap):

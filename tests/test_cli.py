@@ -9,6 +9,7 @@ from click.testing import CliRunner
 
 from gks.adversaries import random_sequence
 from gks.algorithms import read_transcript, transcript_lines
+from gks import cli
 from gks.cli import exact_decimal, main
 from gks.core import Instance, write_sequence
 
@@ -162,7 +163,7 @@ def test_opt_resource_cap_exit(runner, seq_file):
 
 
 def test_opt_default_caps_cover_k4_n5_t300(runner, tmp_path):
-    # 625 states and 300 requests: 750,000 units of T·k·N work
+    # 625 states and 300 requests: 307,200 units of T·k·∏(nᵢ − 1) work
     inst = Instance.uniform(4, 5)
     path = tmp_path / "big.gks"
     write_sequence(path, inst, random_sequence(inst, 300, seed=1))
@@ -171,7 +172,18 @@ def test_opt_default_caps_cover_k4_n5_t300(runner, tmp_path):
     assert int(result.output) > 0
     result = runner.invoke(main, ["opt", "--seq", str(path), "--work-cap", "1"])
     assert result.exit_code == 3
-    assert "(= 300 * 4 * 625)" in result.stderr
+    assert "(= 300 * 4 * 256)" in result.stderr
+
+
+def test_opt_default_caps_cover_two_point_k12_t2000(runner, tmp_path):
+    # 4,096 states and 2,000 requests: 24,000 units of box work, where
+    # T·k·N would be 98,304,000
+    inst = Instance.uniform(12, 2)
+    path = tmp_path / "k12.gks"
+    write_sequence(path, inst, random_sequence(inst, 2000, seed=2))
+    result = runner.invoke(main, ["opt", "--seq", str(path)])
+    assert result.exit_code == 0, result.output
+    assert int(result.output) > 0
 
 
 def test_malformed_sequence_exit_and_line(runner, tmp_path):
@@ -199,6 +211,16 @@ def test_duel_report(runner, tmp_path):
     assert seqout.exists()
     opt_check = runner.invoke(main, ["opt", "--seq", str(seqout)])
     assert opt_check.output.strip() == report["opt"]
+
+
+def test_duel_checks_optimum_caps_before_serving(runner, monkeypatch):
+    def serve(*args, **kwargs):
+        raise AssertionError("served before the optimum's caps were checked")
+
+    monkeypatch.setattr(cli, "run_closed_loop", serve)
+    result = runner.invoke(main, ["duel", "--k", "14", "--rounds", "1"])
+    assert result.exit_code == 3
+    assert "state space 16384 exceeds cap 10000" in result.stderr
 
 
 def test_duel_oblivious_label(runner, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gks.core import Instance, ResourceLimitError, weighted_distance
+from gks.core import Instance, InvalidInputError, ResourceLimitError, weighted_distance
 from gks.algorithms import GenericAlgorithm
 from gks.adversaries import random_sequence
 from gks.offline import opt_cost, work_function_layer, work_function_minima
@@ -24,6 +24,9 @@ def test_zero_when_start_satisfies_everything():
     inst = Instance.uniform(2, 3)
     assert opt_cost(inst, (1, 2), [(1, 0), (0, 2), (1, 2)]) == 0
     assert opt_cost(inst, (0, 0), []) == 0
+    # the start is checked even when there is nothing to serve
+    with pytest.raises(InvalidInputError, match="start configuration"):
+        opt_cost(Instance.uniform(2, 2), (9, 9), [])
 
 
 def test_alternating_requests_one_move():
@@ -78,27 +81,6 @@ def test_layer_zero_is_distance_from_start():
         assert layer[q] == weighted_distance(start, q, inst.weights)
 
 
-def test_layers_are_lipschitz_and_min_monotone():
-    rng = random.Random(7)
-    for trial in range(6):
-        k = rng.randrange(1, 4)
-        n = rng.randrange(2, 4)
-        inst = Instance.uniform(k, n)
-        seq = random_sequence(inst, 8, seed=trial)
-        start = tuple(rng.randrange(n) for _ in range(k))
-        prev_min = Fraction(0)
-        for t in range(len(seq) + 1):
-            layer = work_function_layer(inst, start, seq, t)
-            configs = list(layer)
-            for a in configs:
-                for b in configs:
-                    assert abs(layer[a] - layer[b]) <= \
-                        weighted_distance(a, b, inst.weights)
-            cur_min = min(layer.values())
-            assert cur_min >= prev_min
-            prev_min = cur_min
-
-
 def test_minima_match_layers_and_opt():
     inst = Instance.uniform(2, 3)
     seq = random_sequence(inst, 10, seed=4)
@@ -116,9 +98,9 @@ def test_caps_raise_with_offending_product():
     inst2 = Instance.uniform(2, 2)
     with pytest.raises(ResourceLimitError, match="cap"):
         opt_cost(inst2, (0, 0), [(1, 1)] * 100, work_cap=10)
-    with pytest.raises(ResourceLimitError, match=r"\(= 100 \* 2 \* 4\)"):
-        opt_cost(inst2, (0, 0), [(1, 1)] * 100, work_cap=799)
-    assert opt_cost(inst2, (0, 0), [(1, 1)] * 100, work_cap=800) == 1
+    with pytest.raises(ResourceLimitError, match=r"\(= 100 \* 2 \* 1\)"):
+        opt_cost(inst2, (0, 0), [(1, 1)] * 100, work_cap=199)
+    assert opt_cost(inst2, (0, 0), [(1, 1)] * 100, work_cap=200) == 1
 
 
 def test_opt_at_least_complete_phases():
@@ -159,3 +141,38 @@ def test_layers_match_naive_definition(case):
     # explicit trajectories, while their number stays small
     if len(seq) <= 4 and inst.state_count() ** len(seq) <= 50_000:
         assert opt_cost(inst, start, seq) == brute_force_opt(inst, start, seq)
+
+
+@settings(max_examples=60, deadline=None)
+@given(offline_cases())
+def test_layers_are_lipschitz_and_min_monotone(case):
+    # The box update rests on every layer being Lipschitz in the weighted
+    # distance.  d(a, b) is a sum of per-axis terms, so checking the pairs
+    # that differ on one axis i (|v[a] - v[b]| <= wᵢ) covers every pair.
+    inst, start, seq = case
+    prev_min = Fraction(0)
+    for t in range(len(seq) + 1):
+        layer = work_function_layer(inst, start, seq, t)
+        for q, value in layer.items():
+            for i, (n, w) in enumerate(zip(inst.sizes, inst.weights)):
+                for y in range(q[i] + 1, n):
+                    other = layer[q[:i] + (y,) + q[i + 1:]]
+                    assert abs(value - other) <= w
+        cur_min = min(layer.values())
+        assert cur_min >= prev_min
+        prev_min = cur_min
+
+
+@pytest.mark.parametrize("k", [5, 6, 7])
+@pytest.mark.parametrize("unit", [True, False])
+def test_two_point_layers_match_naive_definition(k, unit):
+    # on two points the box of a request is one cell
+    rng = random.Random(100 * k + unit)
+    weights = None if unit else [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(k)]
+    inst = Instance.make([2] * k, weights)
+    start = tuple(rng.randrange(2) for _ in range(k))
+    seq = random_sequence(inst, 6, seed=k)
+    layers = naive_layers(inst, start, seq)
+    for t, layer in enumerate(layers):
+        assert work_function_layer(inst, start, seq, t) == layer
+    assert opt_cost(inst, start, seq) == min(layers[-1].values())
