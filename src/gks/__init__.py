@@ -21,15 +21,7 @@ from .core import (
     weighted_distance,
     write_sequence,
 )
-from .spaces import (
-    FREE,
-    FeasibleFamily,
-    contains,
-    dimension,
-    has_infeasible,
-    member,
-    split,
-)
+from .spaces import FREE, FeasibleFamily, member
 from .algorithms import (
     AlternativeAlgorithm,
     DistributionTracker,

@@ -36,7 +36,7 @@ from .core import (
     satisfies,
     write_lines,
 )
-from .spaces import FeasibleFamily, Pattern, member, pattern_sort_key
+from .spaces import FeasibleFamily, Pattern, member
 
 TRANSCRIPT_HEADER = "gks-transcript v1"
 
@@ -75,26 +75,29 @@ class PhaseSummary:
     adopted_spaces: int | None = None
 
 
-def next_family(family: FeasibleFamily | None,
-                r: Request) -> tuple[FeasibleFamily, bool, bool]:
+def next_family(family: FeasibleFamily | None, r: Request,
+                sizes: Sequence[int]) -> tuple[FeasibleFamily, bool, bool]:
     """The phase rule: (family after r, whether r opened a phase, whether the
     feasible union shrank).
 
     A phase ends when no configuration is feasible for all of its requests;
     the request that empties the family opens the next phase, whose family
-    is that request's alone.  `family` is updated in place; None means no
-    phase is open yet.
+    is the whole space of the metrics' `sizes` split by that request alone.
+    `family` is updated in place; None means no phase is open yet.
     """
     if family is not None:
         shrunk = family.update(r)
         if family.spaces:
             return family, False, shrunk
-    return FeasibleFamily.initial(r), True, True
+    family = FeasibleFamily.initial(sizes)
+    family.update(r)
+    return family, True, True
 
 
-def nearest_space(family: FeasibleFamily, current: Config) -> Pattern:
-    """Pattern whose nearest member is cheapest; ties by canonical order."""
-    return min(map(family.pattern, family.cheapest(current)), key=pattern_sort_key)
+def nearest_space(family: FeasibleFamily, current: Config) -> int:
+    """Mask of the pattern whose nearest member is cheapest; ties go to the
+    smallest mask, which is the canonical pattern order."""
+    return min(family.cheapest(current))
 
 
 class OnlineAlgorithm:
@@ -147,7 +150,7 @@ class OnlineAlgorithm:
     def serve(self, r: Sequence[int]) -> Step:
         r = self.instance.check_coords(r)
         pre = self.current
-        family, phase_start, shrunk = next_family(self.family, r)
+        family, phase_start, shrunk = next_family(self.family, r, self.instance.sizes)
         if phase_start:
             if self.family is not None:
                 if satisfies(pre, r):
@@ -215,8 +218,14 @@ class _SpaceFollower(OnlineAlgorithm):
     A new phase always chooses a new pattern.
     """
 
-    space: Pattern | None = None
     _space_mask: int | None = None
+
+    @property
+    def space(self) -> Pattern | None:
+        """The adopted pattern, None before the first request."""
+        if self._space_mask is None:
+            return None
+        return self.family.pattern(self._space_mask)
 
     def _adopted_count(self):
         return len(self._adopted)
@@ -226,10 +235,9 @@ class _SpaceFollower(OnlineAlgorithm):
             self._adopted: set[int] = set()
         elif self._space_mask in self.family.spaces:
             return self.current
-        self.space = self._choose()
-        self._space_mask = self.family.mask(self.space)
-        self._adopted.add(self._space_mask)
-        return member(self.space, self.current)
+        self._space_mask = space = self._choose()
+        self._adopted.add(space)
+        return self.family.pattern(space, self.current)
 
 
 class AlternativeAlgorithm(_SpaceFollower):
@@ -302,7 +310,7 @@ class DistributionTracker:
             raise InvalidInputError("distribution tracking applies to the unit-weight case")
         self.instance = instance
         self.family: FeasibleFamily | None = None
-        self.masses: dict[Pattern, Fraction] = {}
+        self._masses: dict[int, Fraction] = {}  # maximal mask -> probability
         self.phase = 0
         self._m = -1
         self._index = 0
@@ -311,24 +319,25 @@ class DistributionTracker:
     def step(self, r: Sequence[int]) -> TrackerStep:
         r = self.instance.check_coords(r)
         self._index += 1
-        m_prev, size_prev = self._m, len(self.masses)
-        self.family, phase_start, _ = next_family(self.family, r)
+        m_prev, size_prev = self._m, len(self._masses)
+        self.family, phase_start, _ = next_family(self.family, r, self.instance.sizes)
         if phase_start:
             self.phase += 1
-            self.masses = {}
+            self._masses = {}
 
         m, top = self.family.max_dimension_set()
-        kept = {p: self.masses[p] for p in top if p in self.masses}
+        kept = {p: self._masses[p] for p in top if p in self._masses}
         p_move = 1 - sum(kept.values(), Fraction(0))
         share = p_move / len(top)
-        self.masses = {p: kept.get(p, Fraction(0)) + share for p in top}
+        self._masses = {p: kept.get(p, Fraction(0)) + share for p in top}
         self._m = m
 
+        patterns = tuple(map(self.family.pattern, top))
         rec = TrackerStep(
             index=self._index, phase=self.phase, phase_start=phase_start,
             m_prev=m_prev, size_prev=size_prev, m_cur=m, size_cur=len(top),
             destroyed_maximal=size_prev - len(kept), p_move=p_move,
-            patterns=tuple(top), masses=self.masses,
+            patterns=patterns, masses=dict(zip(patterns, self._masses.values())),
         )
         self.steps.append(rec)
         return rec

@@ -75,8 +75,8 @@ def potential(family) -> Fraction:
     """Exact potential of a feasible family; an empty family scores 0."""
     if len(family) == 0:
         return Fraction(0)
-    m, top = family.max_dimension_set()
-    return potential_value(len(top), m, family.k)
+    m, count = family.max_dimension_stats()
+    return potential_value(count, m, family.k)
 
 
 def initial_potential(k: int) -> Fraction:

@@ -315,7 +315,8 @@ def cmd_run(alg, seq_file, gen, steps, k, sizes, weights, seed, seeds, jobs,
 @click.option("--work-cap", type=int, default=50_000_000, show_default=True,
               help="Cap on requests * k * (n1-1)*...*(nk-1), the box updates' work")
 @click.option("--trace-wf", is_flag=True, default=False,
-              help="Also print the cheapest table value after every request")
+              help="Also print the cheapest table value after every request; "
+                   "its requests * states scan must fit --work-cap too")
 def cmd_opt(seq_file, start, state_cap, work_cap, trace_wf):
     """Print the exact offline optimum for a sequence file."""
     instance, requests = _guard(read_sequence, seq_file)

@@ -36,10 +36,6 @@ class SequenceFormatError(InvalidInputError):
         self.line = line
 
 
-class ContractViolationError(GKSError):
-    """An operation was invoked outside its stated precondition."""
-
-
 class InvariantViolationError(GKSError):
     """A runtime invariant failed.  This is a finding, not a usage error."""
 

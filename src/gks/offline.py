@@ -120,7 +120,17 @@ def work_function_minima(instance: Instance, start: Sequence[int],
                          requests: Sequence[Request],
                          *, state_cap: int = DEFAULT_STATE_CAP,
                          work_cap: int = DEFAULT_WORK_CAP) -> list[Fraction]:
-    """Cheapest table value after 0..T requests, in one forward pass."""
+    """Cheapest table value after 0..T requests, in one forward pass.
+
+    Each minimum scans the whole table, so besides the box work the T·N
+    cells scanned must fit `work_cap` too."""
     start = tuple(start)
+    check_caps(instance, len(requests), state_cap, work_cap)
+    scan = len(requests) * instance.state_count()
+    if scan > work_cap:
+        raise ResourceLimitError(
+            f"minimum scan {scan} (= {len(requests)} * {instance.state_count()}) "
+            f"exceeds cap {work_cap}"
+        )
     return [Fraction(min(values), scale)
             for _, values, scale in _layers(instance, start, requests, state_cap, work_cap)]

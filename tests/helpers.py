@@ -1,8 +1,11 @@
-"""Independent oracles for the test suite, kept deliberately naive."""
+"""Independent oracles for the test suite, kept deliberately naive, and two
+builders of the program's own feasible family."""
 
 import itertools
 
+from gks.algorithms import next_family
 from gks.core import Instance, satisfies, weighted_distance
+from gks.spaces import FeasibleFamily
 
 
 def all_configs(sizes):
@@ -54,6 +57,45 @@ def exhaustive_feasible(sizes, requests):
             if all(satisfies(q, r) for r in requests)}
 
 
+# Patterns as tuples: k entries, None for a free coordinate.
+
+def dimension(pattern):
+    return sum(v is None for v in pattern)
+
+
+def contains(pattern, q):
+    return all(v is None or v == x for v, x in zip(pattern, q))
+
+
+def members(pattern, sizes):
+    """Every configuration the pattern denotes."""
+    return itertools.product(*(range(n) if v is None else (v,) for v, n in zip(pattern, sizes)))
+
+
+def canonical_key(pattern):
+    """The canonical pattern order: free < 0 < 1 < ..., coordinate 0 first."""
+    return tuple(-1 if v is None else v for v in pattern)
+
+
+def family_union(patterns, sizes):
+    """Union of the members of every pattern."""
+    return {q for p in patterns for q in members(p, sizes)}
+
+
+def opened(r, sizes):
+    """The program's family after the request that opens a phase."""
+    return next_family(None, r, sizes)[0]
+
+
+def plant(pattern, width):
+    """A family holding `pattern` alone."""
+    fam = FeasibleFamily(len(pattern), width)
+    free = sum(1 << i for i, v in enumerate(pattern) if v is None)
+    fam.spaces[fam.mask(pattern)] = free
+    fam._dim_hist[free.bit_count()] = 1
+    return fam
+
+
 class NaiveFamily:
     """A phase's feasible family as a plain set of pattern tuples.
 
@@ -87,21 +129,23 @@ class NaiveFamily:
                     self.created.add(child)
         return bool(doomed)
 
-    @staticmethod
-    def dimension(p):
-        return sum(v is None for v in p)
-
     def created_by_dimension(self):
         out = {}
         for p in self.created:
-            d = self.dimension(p)
+            d = dimension(p)
             out[d] = out.get(d, 0) + 1
         return out
 
     def max_dimension_set(self):
-        m = max(self.dimension(p) for p in self.alive)
-        top = [p for p in self.alive if self.dimension(p) == m]
-        return m, sorted(top, key=lambda p: [-1 if v is None else v for v in p])
+        m = max(dimension(p) for p in self.alive)
+        top = [p for p in self.alive if dimension(p) == m]
+        return m, sorted(top, key=canonical_key)
+
+    def nearest_space(self, current):
+        """Pattern with the fewest fixed entries away from `current`, ties
+        by canonical order."""
+        return min(self.alive, key=lambda p: (
+            sum(v is not None and v != x for v, x in zip(p, current)), canonical_key(p)))
 
     def nearest_member(self, current):
         """Closest member over all patterns, ties to the smallest tuple."""

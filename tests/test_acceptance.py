@@ -16,14 +16,6 @@ from fractions import Fraction
 import pytest
 
 from gks.core import Instance, satisfies
-from gks.spaces import (
-    contains,
-    creation_bound,
-    dimension,
-    enumerate_members,
-    has_infeasible,
-    split,
-)
 from gks.algorithms import (
     DistributionTracker,
     GenericAlgorithm,
@@ -45,6 +37,8 @@ from gks.certify import (
 )
 from gks.offline import opt_cost
 from gks.weighted import ConstantTable, WeightedAlgorithm, constants, round_weights
+
+from helpers import dimension, family_union, members, plant
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -228,21 +222,17 @@ def test_criterion_4_split_and_family_bounds(corpus):
             sizes = [n] * k
             slot_choices = [None] + list(range(n))
             for pat in itertools.product(*([slot_choices] * k)):
-                members = list(enumerate_members(pat, sizes))
+                pat_members = list(members(pat, sizes))
+                d = dimension(pat)
                 for r in itertools.product(*(range(n) for _ in range(k))):
-                    expected_infeasible = any(not satisfies(c, r) for c in members)
-                    assert has_infeasible(pat, r) == expected_infeasible
+                    fam = plant(pat, n)
+                    expected_infeasible = any(not satisfies(c, r) for c in pat_members)
+                    assert fam.update(r) == expected_infeasible
+                    assert family_union(fam, sizes) == {c for c in pat_members if satisfies(c, r)}
                     if not expected_infeasible:
                         continue
-                    children = split(pat, r)
-                    d = dimension(pat)
-                    assert len(children) == d
-                    assert len(set(children)) == len(children)
-                    assert all(dimension(c) == d - 1 for c in children)
-                    covered = set()
-                    for child in children:
-                        covered.update(enumerate_members(child, sizes))
-                    assert covered == {c for c in members if satisfies(c, r)}
+                    assert len(fam) == d and fam.duplicate_creations == 0
+                    assert all(dimension(c) == d - 1 for c in fam)
                     cases += 1
     exhaustive_seconds = time.perf_counter() - t0
 

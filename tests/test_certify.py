@@ -33,6 +33,8 @@ from gks.certify import (
     write_certificate,
 )
 
+from helpers import opened
+
 
 def test_hand_evaluated_length_two_matrix():
     rows = [((2,), (3,)), ((3,), (4,))]
@@ -123,17 +125,17 @@ def test_harmonic_values():
 
 def test_potential_examples():
     # single zero-dimensional pattern: H(1) = 1
-    fam = FeasibleFamily.initial((5,))
+    fam = opened((5,), (6,))
     assert potential(fam) == 1
     # freshly opened 3-coordinate phase: H(3) + 2 H(6) = 101/15
-    fam3 = FeasibleFamily.initial((0, 1, 2))
+    fam3 = opened((0, 1, 2), (3, 3, 3))
     assert potential(fam3) == Fraction(101, 15)
     assert initial_potential(3) == Fraction(101, 15)
     assert initial_potential(3) <= 3 * harmonic(6)
     # generic bound: opening potential stays within k H(k!)
     for k in range(1, 7):
         assert initial_potential(k) <= k * harmonic(math.factorial(k))
-    empty = FeasibleFamily(2)
+    empty = FeasibleFamily(2, 3)
     assert potential(empty) == 0
 
 

@@ -186,6 +186,19 @@ def test_opt_default_caps_cover_two_point_k12_t2000(runner, tmp_path):
     assert int(result.output) > 0
 
 
+def test_opt_trace_wf_counts_the_minimum_scan(runner, tmp_path):
+    # 1,024 states and 100 requests: 1,000 units of box work fit the cap,
+    # but the per-layer minima scan T·N = 102,400 cells
+    inst = Instance.uniform(10, 2)
+    path = tmp_path / "k10.gks"
+    write_sequence(path, inst, random_sequence(inst, 100, seed=4))
+    args = ["opt", "--seq", str(path), "--work-cap", "50000"]
+    assert runner.invoke(main, args).exit_code == 0
+    result = runner.invoke(main, args + ["--trace-wf"])
+    assert result.exit_code == 3
+    assert "minimum scan 102400 (= 100 * 1024)" in result.stderr
+
+
 def test_malformed_sequence_exit_and_line(runner, tmp_path):
     bad = tmp_path / "bad.gks"
     bad.write_text("gks-seq v1\nk=2\nsizes=2,2\nweights=1,1\n0,7\n")

@@ -20,6 +20,7 @@ from gks.algorithms import (
     GenericAlgorithm,
     RandomizedAlgorithm,
     replay_space_choices,
+    transcript_lines,
     write_transcript,
 )
 from gks.certify import certify_transcript, write_certificate
@@ -124,3 +125,23 @@ def test_tracker_trace_and_replay():
         for seed in (0, 5):
             text.append(repr(replay_space_choices(trace, seed, (0,) * k)))
     assert sha("\n".join(text)) == "2d61cf0e26b2f17ce5f3160eef7a40f78d773117dcf3dceee5001e7a5ca0292a"
+
+
+def test_unequal_sizes_transcripts_and_tracker():
+    """Followers' transcripts and a tracker trace where metric sizes differ,
+    so some axes use fewer points than the widest one."""
+    text = []
+    for sizes in ((2, 5, 3), (4, 2, 2, 3)):
+        inst = Instance.make(sizes)
+        seq = random_sequence(inst, 250, seed=len(sizes))
+        for alg in (ALGORITHMS["alt"](inst), RandomizedAlgorithm(inst, seed=6)):
+            alg.run(seq)
+            text.extend(transcript_lines(alg.transcript))
+            text.append(repr(alg.phase_summaries))
+        evasive = ALGORITHMS["alt"](inst)
+        text.append(repr(run_evasive(evasive, 120, seed=2)))
+        text.extend(transcript_lines(evasive.transcript))
+        trace = DistributionTracker(inst).run(seq[:150])
+        text.extend(map(repr, trace))
+        text.append(repr(replay_space_choices(trace, 3, (0,) * len(sizes))))
+    assert sha("\n".join(text)) == "888295ff83051b93ac37476e3fbec6cc7354ef96db3ef3be61e91cf767f9ebeb"

@@ -1,81 +1,82 @@
 """Tests for patterns, splitting, and feasible-family evolution."""
 
 import itertools
-import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gks.algorithms import nearest_space
 from gks.core import (
-    ContractViolationError,
     EmptyFamilyError,
     InvalidInputError,
     InvariantViolationError,
     satisfies,
 )
-from gks.spaces import (
-    FeasibleFamily,
-    contains,
-    creation_bound,
-    dimension,
-    enumerate_members,
-    has_infeasible,
-    member,
-    parse_pattern,
-    pattern_str,
-    split,
-)
+from gks.spaces import FeasibleFamily, creation_bound, member, pattern_str
 
-from helpers import NaiveFamily, all_configs, exhaustive_feasible
+from helpers import (
+    NaiveFamily,
+    canonical_key,
+    contains,
+    dimension,
+    exhaustive_feasible,
+    family_union,
+    members,
+    opened,
+    plant,
+)
 
 
 def test_dimension_examples():
-    assert dimension((None, None, 5)) == 2
-    assert dimension((1, 2, 3)) == 0
-    assert dimension((None, None, None)) == 3
+    # a pattern's dimension is k minus its mask's popcount
+    assert plant((None, None, 5), 6).max_dimension_stats() == (2, 1)
+    assert plant((1, 2, 3), 4).max_dimension_stats() == (0, 1)
+    assert FeasibleFamily.initial((2, 3, 2)).max_dimension_stats() == (3, 1)
 
 
 def test_contains_examples():
-    assert contains((1, None), (1, 7))
-    assert not contains((1, None), (2, 7))
-    assert contains((None, None), (4, 9))
-    with pytest.raises(InvalidInputError):
-        contains((1, None), (1, 2, 3))
+    fam = plant((1, None), 8)
+    assert (1, None) in fam
+    assert (2, None) not in fam and (1, 7) not in fam and (None, None) not in fam
+    assert (1, None, None) not in fam  # wrong width: not a pattern of this family
 
 
 def test_has_infeasible_examples():
-    assert has_infeasible((None, None, 5), (1, 2, 3))
-    assert not has_infeasible((None, 1), (0, 1))
+    # update reports a change exactly when some member misses the request
+    assert plant((None, None, 5), 6).update((1, 2, 3))
+    assert not plant((None, 1), 2).update((0, 1))
 
 
 def test_has_infeasible_matches_member_scan():
     for k, n in [(2, 2), (2, 3), (3, 2), (3, 3)]:
-        patterns = itertools.product(*([[None] + list(range(n))] * k))
-        for pat in patterns:
+        for pat in itertools.product(*([[None] + list(range(n))] * k)):
             for r in itertools.product(range(n), repeat=k):
-                expected = any(not satisfies(c, r) for c in enumerate_members(pat, [n] * k))
-                assert has_infeasible(pat, r) == expected
+                expected = any(not satisfies(c, r) for c in members(pat, [n] * k))
+                assert plant(pat, n).update(r) == expected
 
 
 def test_split_examples():
-    assert split((None, None, 5), (1, 2, 3)) == [(1, None, 5), (None, 2, 5)]
-    assert split((1, 2, 3), (4, 5, 6)) == []
-    with pytest.raises(ContractViolationError):
-        split((None, 1), (0, 1))
+    fam = plant((None, None, 5), 6)
+    fam.update((1, 2, 3))
+    assert list(fam) == [(1, None, 5), (None, 2, 5)]
+    fixed = plant((1, 2, 3), 7)
+    fixed.update((4, 5, 6))
+    assert len(fixed) == 0  # a fully fixed pattern is simply removed
+    kept = plant((None, 1), 2)
+    kept.update((0, 1))
+    assert list(kept) == [(None, 1)]
 
 
 def test_split_union_is_satisfying_subset():
     sizes = [3, 3, 3]
     pat = (None, None, 0)
     r = (1, 1, 1)
-    children = split(pat, r)
-    covered = set()
-    for child in children:
-        covered.update(enumerate_members(child, sizes))
-    expected = {c for c in enumerate_members(pat, sizes) if satisfies(c, r)}
-    assert covered == expected
+    fam = plant(pat, 3)
+    fam.update(r)
+    expected = {c for c in members(pat, sizes) if satisfies(c, r)}
+    assert family_union(fam, sizes) == expected
     assert len(expected) < 9  # strictly below the 9 members of the parent
 
 
@@ -86,31 +87,45 @@ def test_split_child_count_and_dims():
         n = rng.randrange(2, 5)
         pat = tuple(rng.choice([None] + list(range(n))) for _ in range(k))
         r = tuple(rng.randrange(n) for _ in range(k))
-        if not has_infeasible(pat, r):
+        fam = plant(pat, n + rng.randrange(3))
+        if not fam.update(r):
             continue
         d = dimension(pat)
-        children = split(pat, r)
-        assert len(children) == d
-        assert all(dimension(c) == d - 1 for c in children)
-        assert len(set(children)) == len(children)
+        assert len(fam) == d
+        for child in fam:
+            assert dimension(child) == d - 1
+            assert all(v is None or v == w for v, w in zip(pat, child))
 
 
 def test_family_init_examples():
-    fam = FeasibleFamily.initial((0, 1))
+    whole = FeasibleFamily.initial((2, 3))
+    assert list(whole) == [(None, None)] and whole.width == 3
+    assert whole.created == set()  # the whole space is where a phase starts, not a creation
+    fam = opened((0, 1), (2, 2))
     assert set(fam) == {(0, None), (None, 1)}
-    fam1 = FeasibleFamily.initial((5,))
-    assert set(fam1) == {(5,)}
+    assert set(opened((5,), (6,))) == {(5,)}
     k = 4
-    fam4 = FeasibleFamily.initial((1, 2, 0, 3))
+    fam4 = opened((1, 2, 0, 3), (4,) * k)
     assert len(fam4) == k
     for pat in fam4:
         assert dimension(pat) == k - 1
-        for c in itertools.islice(enumerate_members(pat, [4] * k), 20):
+        for c in itertools.islice(members(pat, [4] * k), 20):
             assert satisfies(c, (1, 2, 0, 3))
 
 
+def test_family_refuses_points_outside_width():
+    fam = opened((0, 1, 2), (3, 2, 3))
+    for bad in [(3, 0, 0), (0, -1, 0)]:
+        with pytest.raises(InvalidInputError):
+            fam.copy().update(bad)
+        with pytest.raises(InvalidInputError):
+            fam.nearest_member(bad)
+        with pytest.raises(InvalidInputError):
+            bad in fam
+
+
 def test_family_trace_example():
-    fam = FeasibleFamily.initial((0, 1))
+    fam = opened((0, 1), (2, 2))
     snapshot = fam.copy()
     assert fam.update((1, 0))
     assert set(fam) == {(0, 0), (1, 1)}
@@ -132,14 +147,14 @@ def test_family_union_tracks_exhaustive_feasible_set():
         for _ in range(rng.randrange(2, 14)):
             r = tuple(rng.randrange(n) for _ in range(k))
             if fam is None:
-                fam, phase_requests = FeasibleFamily.initial(r), [r]
+                fam, phase_requests = opened(r, sizes), [r]
             else:
                 fam.update(r)
                 if len(fam) == 0:
-                    fam, phase_requests = FeasibleFamily.initial(r), [r]
+                    fam, phase_requests = opened(r, sizes), [r]
                 else:
                     phase_requests.append(r)
-            assert fam.feasible_union(sizes) == exhaustive_feasible(sizes, phase_requests)
+            assert family_union(fam, sizes) == exhaustive_feasible(sizes, phase_requests)
 
 
 def test_update_changed_iff_union_shrinks():
@@ -148,31 +163,41 @@ def test_update_changed_iff_union_shrinks():
         k = rng.randrange(1, 4)
         n = rng.randrange(2, 4)
         sizes = [n] * k
-        fam = FeasibleFamily.initial(tuple(rng.randrange(n) for _ in range(k)))
+        fam = opened(tuple(rng.randrange(n) for _ in range(k)), sizes)
         for _ in range(10):
             r = tuple(rng.randrange(n) for _ in range(k))
-            before = fam.feasible_union(sizes)
+            before = family_union(fam, sizes)
             snapshot = fam.copy()
             changed = fam.update(r)
             if len(fam) == 0:
                 assert changed
                 break
-            after = fam.feasible_union(sizes)
+            after = family_union(fam, sizes)
             assert changed == (after != before), (snapshot.spaces, r)
             assert after <= before
 
 
 def test_max_dimension_set():
-    fam = FeasibleFamily.initial((0, 1))
+    fam = opened((0, 1), (2, 2))
     fam.update((1, 0))
     m, top = fam.max_dimension_set()
-    assert m == 0 and set(top) == {(0, 0), (1, 1)}
-    fam2 = FeasibleFamily.initial((1, 2, 3))
+    assert m == 0 and [fam.pattern(x) for x in top] == [(0, 0), (1, 1)]
+    fam2 = opened((1, 2, 3), (4, 4, 4))
     m2, top2 = fam2.max_dimension_set()
-    assert m2 == 2 and len(top2) == 3
+    assert m2 == 2 and [fam2.pattern(x) for x in top2] == [
+        (None, None, 3), (None, 2, None), (1, None, None)]
     fam2.spaces.clear()
     with pytest.raises(EmptyFamilyError):
         fam2.max_dimension_set()
+
+
+def test_mask_order_is_canonical_pattern_order():
+    for k, sizes in [(1, (3,)), (2, (2, 4)), (3, (3, 2, 2)), (4, (2, 2, 2, 2))]:
+        width = max(sizes) + 1
+        fam = FeasibleFamily(k, width)
+        patterns = list(itertools.product(*([None] + list(range(n)) for n in sizes)))
+        assert sorted(patterns, key=fam.mask) == sorted(patterns, key=canonical_key)
+        assert all(fam.pattern(fam.mask(p)) == p for p in patterns)
 
 
 def test_member_examples():
@@ -186,24 +211,21 @@ def test_member_examples():
         got = member(pat, near)
         assert contains(pat, got)
         # minimal over the pattern: every member differs at least as much
-        for other in enumerate_members(pat, [3] * k):
+        for other in members(pat, [3] * k):
             assert sum(a != b for a, b in zip(near, got)) <= \
                 sum(a != b for a, b in zip(near, other))
 
 
 def test_pattern_text_form():
     assert pattern_str((1, None, 5)) == "1,*,5"
-    assert parse_pattern("1,*,5") == (1, None, 5)
-    assert parse_pattern("*") == (None,)
-    with pytest.raises(InvalidInputError):
-        parse_pattern("1,x")
+    assert pattern_str((None,)) == "*"
 
 
 def test_duplicate_creation_is_merged_and_counted():
     # A pattern can be re-created while its twin is still alive: after the
     # fourth request below, (*,0,2) splits into (1,0,2), which the family
     # already contains.  The family must keep one copy and count the event.
-    fam = FeasibleFamily.initial((0, 0, 0))
+    fam = opened((0, 0, 0), (4, 4, 4))
     fam.update((1, 1, 2))
     fam.update((2, 2, 2))
     assert (1, 0, 2) in fam
@@ -217,11 +239,11 @@ def test_duplicate_creation_is_merged_and_counted():
 def test_recreating_a_destroyed_pattern_is_an_invariant_violation():
     # (0,None) splits into (0,0) on request (1,0); a log claiming (0,0) was
     # created earlier and is gone means a destroyed pattern came back
-    fam = FeasibleFamily.initial((0, 1))
+    fam = opened((0, 1), (2, 2))
     fam.created.add(fam.mask((0, 0)))
     with pytest.raises(InvariantViolationError):
         fam.update((1, 0))
-    honest = FeasibleFamily.initial((0, 1))
+    honest = opened((0, 1), (2, 2))
     honest.update((1, 0))
     assert set(honest) == {(0, 0), (1, 1)}
 
@@ -231,7 +253,7 @@ def test_created_counts_within_bounds_random_runs():
     for _ in range(40):
         k = rng.randrange(2, 5)
         n = rng.randrange(2, 5)
-        fam = FeasibleFamily.initial(tuple(rng.randrange(n) for _ in range(k)))
+        fam = opened(tuple(rng.randrange(n) for _ in range(k)), [n] * k)
         for _ in range(120):
             r = tuple(rng.randrange(n) for _ in range(k))
             fam.update(r)
@@ -248,38 +270,43 @@ def test_creation_bound_values():
     assert creation_bound(5, 5) == 1
 
 
-def assert_same_family(fam, naive):
+def assert_same_family(fam, naive, current):
     assert set(fam) == naive.alive
     assert fam.duplicate_creations == naive.duplicate_creations
     assert fam.created_by_dimension() == naive.created_by_dimension()
-    assert fam.max_dimension_set() == naive.max_dimension_set()
+    m, top = fam.max_dimension_set()
+    assert (m, [fam.pattern(x) for x in top]) == naive.max_dimension_set()
+    assert fam.nearest_member(current) == naive.nearest_member(current)
+    assert fam.pattern(nearest_space(fam, current)) == naive.nearest_space(current)
 
 
-def run_against_naive(requests, currents):
+def run_against_naive(requests, currents, sizes):
     """Drive FeasibleFamily and the naive tuple-set family side by side,
     opening a fresh phase whenever the family empties."""
     fam = naive = None
     for r, current in zip(requests, currents):
         if fam is None:
-            fam, naive = FeasibleFamily.initial(r), NaiveFamily(r)
+            fam, naive = opened(r, sizes), NaiveFamily(r)
         else:
             assert fam.update(r) == naive.update(r)
             if not naive.alive:
                 assert len(fam) == 0
                 fam = naive = None
                 continue
-        assert_same_family(fam, naive)
-        assert fam.nearest_member(current) == naive.nearest_member(current)
+        assert_same_family(fam, naive, current)
 
 
 @st.composite
 def family_runs(draw):
+    """Requests and positions over one size per coordinate, so the widest
+    axis sets W and the others leave the top of their blocks unused."""
     k = draw(st.integers(1, 6))
-    n = draw(st.integers(2, 4))
-    point = st.tuples(*[st.integers(0, n - 1)] * k)
+    sizes = draw(st.lists(st.integers(2, 4), min_size=k, max_size=k))
+    point = st.tuples(*[st.integers(0, n - 1) for n in sizes])
     steps = draw(st.integers(1, 40))
     return (draw(st.lists(point, min_size=steps, max_size=steps)),
-            draw(st.lists(point, min_size=steps, max_size=steps)))
+            draw(st.lists(point, min_size=steps, max_size=steps)),
+            sizes)
 
 
 @settings(max_examples=200, deadline=None)
@@ -294,7 +321,7 @@ def test_family_matches_naive_beyond_31_coordinates():
     k = 33
     requests = [tuple(rng.randrange(2) for _ in range(k)) for _ in range(4)]
     currents = [tuple(rng.randrange(2) for _ in range(k)) for _ in range(4)]
-    run_against_naive(requests, currents)
-    wide = FeasibleFamily.initial(tuple(range(40)))
+    run_against_naive(requests, currents, [2] * k)
+    wide = opened(tuple(range(40)), [41] * 40)
     assert wide.update(tuple(range(1, 41)))
     assert len(wide) == 40 * 39 and wide.max_dimension_stats() == (38, 40 * 39)
