@@ -6,7 +6,10 @@ Three independent audit surfaces over concrete run data:
   product polynomial arranged so that a valid phase yields an upper
   triangular matrix with non-zero diagonal that factors through the
   polynomial's 2^k monomials (so the phase length is at most 2^k, with no
-  numerical rank computation anywhere);
+  numerical rank computation anywhere).  The factorization is checked by
+  its structure, not by multiplying it out: the factors must be the
+  monomial vectors of the phase's states and requests, and the binomial
+  identity then fixes their product (see `verify_certificate`);
 * exact harmonic-sum potential accounting for the randomized algorithm's
   tracked distribution;
 * per-phase creation counts of the feasible family against the k!/d! caps.
@@ -19,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import neg, sub
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence, Union
 
@@ -33,7 +37,6 @@ from .core import (
     header_lines,
     parse_int,
     parse_ints,
-    poly_eval,
     read_header,
     satisfies,
     write_lines,
@@ -124,7 +127,8 @@ def build_phase_matrix(rows: Sequence[tuple[Config, Request]], k: int,
     means coordinate i belongs to the subset) holding the state's coordinate
     product over the subset; B holds the signed complementary products of
     the requests.  For more than `max_materialize_k` coordinates only M is
-    materialized and the factorization is checked entry by entry.
+    materialized, and verification checks it against the states and
+    requests directly.
     """
     ell = len(rows)
     if ell == 0:
@@ -138,13 +142,19 @@ def build_phase_matrix(rows: Sequence[tuple[Config, Request]], k: int,
             raise InvalidInputError("row arity differs from k")
     states = tuple(q for q, _ in rows)
     requests = tuple(r for _, r in rows)
-    M = [[poly_eval(q, r) for r in requests] for q in states]
     A = B = None
     if k <= max_materialize_k:
         A = [_subset_products(q) for q in states]
-        B = [list(row) for row in zip(*map(_complement_products, requests))]
+        B = _complement_columns(requests)
     return PhaseCertificate(k=k, length=ell, states=states, requests=requests,
-                            M=M, A=A, B=B)
+                            M=_difference_products(states, requests), A=A, B=B)
+
+
+def _difference_products(states: Sequence[Config],
+                         requests: Sequence[Request]) -> list[list[int]]:
+    """M's rows: the difference product of each state with each request
+    (arities already checked)."""
+    return [[math.prod(map(sub, q, r)) for r in requests] for q in states]
 
 
 def _subset_products(values: Sequence[int]) -> list[int]:
@@ -156,15 +166,11 @@ def _subset_products(values: Sequence[int]) -> list[int]:
     return out
 
 
-def _complement_products(r: Request) -> list[int]:
-    """B's column for request r: by subset, the product of -r_i over the
-    coordinates outside it."""
-    return _subset_products([-x for x in r])[::-1]
-
-
-def _monomial_expansion(q: Config, r: Request) -> int:
-    """The difference product at (q, r), summed monomial by monomial."""
-    return sum(a * b for a, b in zip(_subset_products(q), _complement_products(r)))
+def _complement_columns(requests: Sequence[Request]) -> list[list[int]]:
+    """B: row S, column t holds the product of -r_t,i over the coordinates
+    i outside subset S."""
+    return [list(row) for row in zip(*(_subset_products([-x for x in r])[::-1]
+                                       for r in requests))]
 
 
 def verify_certificate(cert: PhaseCertificate) -> CertificateVerdicts:
@@ -173,24 +179,47 @@ def verify_certificate(cert: PhaseCertificate) -> CertificateVerdicts:
     All three verdicts true certify the phase-length ceiling: a full-rank
     triangular matrix that factors through 2^k monomials cannot have more
     than 2^k rows.
+
+    `factorization_ok` means: A's row t is the subset-product vector of a
+    state q_t (entry S is the product of q_t,i over i in S), B's column t
+    is the complement-product vector of a request r_t (entry S is the
+    product of -r_t,i over i outside S), and M[t][t'] is the difference
+    product of q_t and r_t'.  By the binomial identity
+
+        sum over S of prod_{i in S} q_i * prod_{i not in S} (-r_i)
+            = prod_i (q_i - r_i),
+
+    these checks prove M = A*B without forming the product: they cost
+    O(l*2^k + l^2*k) against O(l^2*2^k) for the product.  The states and
+    requests are the certificate's own when it carries them (it was built
+    in-process); a certificate read from a file carries none, and they are
+    read off the factors, q_t,i as A[t][1 << i] and r_t,i as
+    -B[full ^ (1 << i)][t] with full = 2^k - 1.  Without materialized
+    factors only M is checked, against the carried states and requests.
+    So the verdict is stricter than M = A*B in one way: factors that
+    multiply to M but are not the monomial vectors of these states and
+    requests are rejected.
     """
     ell = cert.length
     M = cert.M
     triangular = all(M[t][tp] == 0 for t in range(ell) for tp in range(t))
     diagonal = all(M[t][t] != 0 for t in range(ell))
-    if cert.A is not None and cert.B is not None:
-        A, B = cert.A, cert.B
-        n_subsets = 1 << cert.k
-        factorization = all(
-            M[t][tp] == sum(A[t][s] * B[s][tp] for s in range(n_subsets))
-            for t in range(ell) for tp in range(ell)
-        )
-    else:
-        factorization = all(
-            M[t][tp] == _monomial_expansion(cert.states[t], cert.requests[tp])
-            for t in range(ell) for tp in range(ell)
-        )
-    return CertificateVerdicts(triangular, diagonal, factorization)
+    return CertificateVerdicts(triangular, diagonal, _factorization_holds(cert))
+
+
+def _factorization_holds(cert: PhaseCertificate) -> bool:
+    states, requests = cert.states, cert.requests
+    A, B = cert.A, cert.B
+    if A is not None and B is not None:
+        if not states:
+            singles = [1 << i for i in range(cert.k)]
+            full = (1 << cert.k) - 1
+            states = [tuple(row[s] for s in singles) for row in A]
+            requests = list(zip(*(map(neg, B[full ^ s]) for s in singles)))
+        if A != [_subset_products(q) for q in states] or B != _complement_columns(requests):
+            return False
+    return (len(states) == len(requests) == cert.length
+            and cert.M == _difference_products(states, requests))
 
 
 def phases_of(steps: Sequence) -> list[tuple[int, list, bool]]:

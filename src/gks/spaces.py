@@ -54,18 +54,19 @@ class FeasibleFamily:
     request r exactly when its mask shares no bit with r's.  `spaces` maps
     each alive mask to the bits of its free coordinates (bit i for
     coordinate i); `created` holds every distinct mask a request created
-    since the phase began.  Re-creation of a pattern that is still alive is
-    merged and counted in `duplicate_creations` rather than kept twice.  A
-    destroyed pattern can never be re-created (its members left the
-    feasible union for good), which `update` checks, raising
-    InvariantViolationError.  A point outside [0, width) would alias
+    since the phase began, and `_created_hist` counts them per dimension.
+    Re-creation of a pattern that is still alive is merged and counted in
+    `duplicate_creations` rather than kept twice.  A destroyed pattern can
+    never be re-created (its members left the feasible union for good),
+    which `update` checks, raising InvariantViolationError.  A point outside [0, width) would alias
     another coordinate's bit, so the family refuses it.
 
     Single writer: `update` mutates in place for speed; take `copy()` when a
     snapshot must outlive later updates.
     """
 
-    __slots__ = ("k", "width", "spaces", "created", "duplicate_creations", "_dim_hist")
+    __slots__ = ("k", "width", "spaces", "created", "duplicate_creations", "_dim_hist",
+                 "_created_hist")
 
     def __init__(self, k: int, width: int):
         self.k = k
@@ -74,6 +75,7 @@ class FeasibleFamily:
         self.created: set[int] = set()     # distinct masks created in the phase
         self.duplicate_creations: int = 0
         self._dim_hist: list[int] = [0] * (k + 1)  # alive count per dimension
+        self._created_hist: list[int] = [0] * (k + 1)  # `created` count per dimension
 
     @classmethod
     def initial(cls, sizes: Sequence[int]) -> "FeasibleFamily":
@@ -124,6 +126,7 @@ class FeasibleFamily:
         fam.created = set(self.created)
         fam.duplicate_creations = self.duplicate_creations
         fam._dim_hist = list(self._dim_hist)
+        fam._created_hist = list(self._created_hist)
         return fam
 
     def update(self, r: Request) -> bool:
@@ -151,6 +154,7 @@ class FeasibleFamily:
         # checked.
         created = self.created
         hist = self._dim_hist
+        made = self._created_hist
         for m in doomed:
             free = spaces.pop(m)
             d = free.bit_count()
@@ -164,6 +168,7 @@ class FeasibleFamily:
                     spaces[child] = free ^ low
                     created.add(child)
                     hist[d - 1] += 1
+                    made[d - 1] += 1
                 elif child in spaces:
                     self.duplicate_creations += 1
                 else:
@@ -194,9 +199,12 @@ class FeasibleFamily:
         from the current position (free entries are copied), which is the
         popcount of its mask outside `current`'s.
         """
+        return self._cheapest(~self.mask(current))
+
+    def _cheapest(self, away: int) -> list[int]:
+        """`cheapest` with `current`'s mask given as its complement."""
         if not self.spaces:
             raise EmptyFamilyError("family is empty; the phase is over")
-        away = ~self.mask(current)
         best = self.k + 1
         out: list[int] = []
         for m in self.spaces:
@@ -215,7 +223,7 @@ class FeasibleFamily:
         configuration.
         """
         away = ~self.mask(current)
-        moves = {m & away for m in self.cheapest(current)}
+        moves = {m & away for m in self._cheapest(away)}
         return min(self.pattern(move, current) for move in moves)
 
     def max_dimension_set(self) -> tuple[int, list[int]]:
@@ -228,10 +236,8 @@ class FeasibleFamily:
 
     def created_by_dimension(self) -> dict[int, int]:
         """Distinct patterns created in the phase per dimension, highest first."""
-        counts = [0] * (self.k + 1)
-        for m in self.created:
-            counts[self.k - m.bit_count()] += 1
-        return {d: counts[d] for d in range(self.k, -1, -1) if counts[d]}
+        made = self._created_hist
+        return {d: made[d] for d in range(self.k, -1, -1) if made[d]}
 
 
 def creation_bound(k: int, d: int) -> int:

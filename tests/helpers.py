@@ -51,6 +51,30 @@ def naive_layers(instance: Instance, start, requests):
     return layers
 
 
+def monomial_expansion(q, r):
+    """The difference product at (q, r), summed monomial by monomial: over
+    every coordinate subset S, the product of q_i on S times -r_i off S."""
+    total = 0
+    for s in range(1 << len(q)):
+        term = 1
+        for i, (qi, ri) in enumerate(zip(q, r)):
+            term *= qi if s >> i & 1 else -ri
+        total += term
+    return total
+
+
+def product_factorization_ok(cert):
+    """M = A*B, summed entry by entry over every subset; without factors,
+    every entry of M against the monomial expansion of its state and
+    request."""
+    ell, M, A, B = cert.length, cert.M, cert.A, cert.B
+    if A is not None and B is not None:
+        return all(M[t][tp] == sum(A[t][s] * B[s][tp] for s in range(1 << cert.k))
+                   for t in range(ell) for tp in range(ell))
+    return all(M[t][tp] == monomial_expansion(cert.states[t], cert.requests[tp])
+               for t in range(ell) for tp in range(ell))
+
+
 def exhaustive_feasible(sizes, requests):
     """All configurations satisfying every request, by full enumeration."""
     return {q for q in all_configs(sizes)

@@ -87,7 +87,7 @@ class Corpus:
     steps_each: int
     combos: int
     phase_stats: list
-    cert_results: list          # (k, n, length, verdicts) for k <= 6
+    cert_results: list          # (k, n, length, verdicts) for every k
     sim_seconds: float
     cert_seconds: float
 
@@ -103,8 +103,7 @@ def corpus():
     cert_seconds = 0.0
     for k, n, kind, seq_id in plan:
         inst = Instance.uniform(k, n)
-        keep = k <= 6
-        alg = GenericAlgorithm(inst, keep_transcript=keep)
+        alg = GenericAlgorithm(inst)
         t0 = time.perf_counter()
         if kind == "random":
             for r in random_sequence(inst, steps, seed=seq_id):
@@ -118,12 +117,11 @@ def corpus():
                 k=k, n=n, complete=ps.complete, shrinks=ps.shrinks,
                 created_by_dim=ps.created_by_dim,
                 duplicate_creations=ps.duplicate_creations))
-        if keep:
-            t0 = time.perf_counter()
-            for phase, cert, verdicts in certify_transcript(
-                    inst, alg.transcript, include_incomplete=True):
-                cert_results.append((k, n, cert.length, verdicts))
-            cert_seconds += time.perf_counter() - t0
+        t0 = time.perf_counter()
+        for phase, cert, verdicts in certify_transcript(
+                inst, alg.transcript, include_incomplete=True):
+            cert_results.append((k, n, cert.length, verdicts))
+        cert_seconds += time.perf_counter() - t0
     return Corpus(
         sequences=len(plan), steps_each=steps,
         combos=len({(k, n) for k, n, _, _ in plan}),
@@ -169,7 +167,7 @@ def test_criterion_2_certificates(corpus):
         build_phase_matrix(corrupted, inst.k)).triangular
     ok = not bad and detection and len(corpus.cert_results) > 500
     report(2, ok, (
-        f"certificates: {len(corpus.cert_results)} phases (k<=6) all "
+        f"certificates: {len(corpus.cert_results)} phases (k<=8) all "
         f"triangular/nonzero-diagonal/factorized in exact arithmetic; "
         f"injected corruption detected [verify {corpus.cert_seconds:.1f}s]"))
     assert ok, bad[:5]

@@ -3,9 +3,12 @@
 import io
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gks.core import CertificateImpossibleError, Instance, InvalidInputError
 from gks.spaces import FeasibleFamily
@@ -33,7 +36,7 @@ from gks.certify import (
     write_certificate,
 )
 
-from helpers import opened
+from helpers import opened, product_factorization_ok
 
 
 def test_hand_evaluated_length_two_matrix():
@@ -44,22 +47,86 @@ def test_hand_evaluated_length_two_matrix():
     assert v.triangular and v.diagonal_nonzero and v.factorization_ok
 
 
-def test_factorization_matches_on_random_rows():
-    # M = A*B must hold for any states/requests, triangular or not
-    rng = random.Random(5)
-    for _ in range(30):
-        k = rng.randrange(1, 5)
-        ell = rng.randrange(1, min(2 ** k, 6) + 1)
-        rows = [
-            (tuple(rng.randrange(5) for _ in range(k)),
-             tuple(rng.randrange(5) for _ in range(k)))
-            for _ in range(ell)
-        ]
-        cert = build_phase_matrix(rows, k)
+@st.composite
+def certificate_rows(draw, low=0):
+    """k in 1..7 and up to min(2^k, 12) (state, request) rows; points from
+    `low` to 5."""
+    k = draw(st.integers(1, 7))
+    ell = draw(st.integers(1, min(2 ** k, 12)))
+    point = st.tuples(*[st.integers(low, 5)] * k)
+    return k, draw(st.lists(st.tuples(point, point), min_size=ell, max_size=ell))
+
+
+@settings(max_examples=150, deadline=None)
+@given(certificate_rows())
+def test_factorization_matches_on_random_rows(case):
+    # M = A*B must hold for any states/requests, triangular or not, by the
+    # structural check and by the entry-by-entry product alike
+    k, rows = case
+    for limit in (12, 0):
+        cert = build_phase_matrix(rows, k, max_materialize_k=limit)
+        assert (cert.A is None) == (limit == 0)
+        assert product_factorization_ok(cert)
         assert verify_certificate(cert).factorization_ok
-        streamed = build_phase_matrix(rows, k, max_materialize_k=0)
-        assert streamed.A is None
-        assert verify_certificate(streamed).factorization_ok
+
+
+@settings(max_examples=150, deadline=None)
+@given(certificate_rows(low=1), st.sampled_from("ABM"), st.integers(0, 10 ** 6),
+       st.integers(1, 3))
+def test_one_altered_entry_fails_both_checks(case, label, pick, delta):
+    # with every point non-zero every factor entry is non-zero, so one
+    # altered entry of A or B changes the product A*B
+    k, rows = case
+    cert = build_phase_matrix(rows, k)
+    matrix = getattr(cert, label)
+    cells = [(i, j) for i, row in enumerate(matrix) for j in range(len(row))]
+    i, j = cells[pick % len(cells)]
+    matrix[i][j] += delta
+    assert not product_factorization_ok(cert)
+    assert not verify_certificate(cert).factorization_ok
+    # read from a file, states and requests come off the factors instead
+    assert not verify_certificate(replace(cert, states=(), requests=())).factorization_ok
+
+
+def evasive_rows(k, n, seed):
+    """Forced rows of the first phase of `det` under never-satisfied traffic."""
+    alg = GenericAlgorithm(Instance.uniform(k, n))
+    run_evasive(alg, 60, seed=seed)
+    return forced_rows(phases_of(alg.transcript)[0][1])
+
+
+def test_consistent_forgery_fails_only_the_structural_check():
+    # a row of A that is no subset-product vector, with M recomputed as
+    # A*B: the product holds, but the factors prove nothing about the
+    # phase, so the structural check rejects it
+    k = 3
+    cert = build_phase_matrix(evasive_rows(k, 3, seed=4), k)
+    cert.A[0][(1 << k) - 1] += 1
+    cert.M = [[sum(a * b for a, b in zip(row, col)) for col in zip(*cert.B)]
+              for row in cert.A]
+    assert product_factorization_ok(cert)
+    assert not verify_certificate(cert).factorization_ok
+    assert not verify_certificate(replace(cert, states=(), requests=())).factorization_ok
+
+
+def test_factors_must_belong_to_the_certificate_states_and_requests():
+    k = 3
+    cert = build_phase_matrix(evasive_rows(k, 3, seed=5), k)
+    assert verify_certificate(cert).all_ok
+    moved = [tuple(x + 1 for x in row) for row in cert.states]
+    for forged in (replace(cert, states=tuple(moved)),
+                   replace(cert, requests=tuple(moved))):
+        assert product_factorization_ok(forged)
+        assert not verify_certificate(forged).factorization_ok
+
+
+def test_altered_m_caught_without_materialized_factors():
+    k = 3
+    cert = build_phase_matrix(evasive_rows(k, 3, seed=6), k, max_materialize_k=0)
+    assert cert.A is None and verify_certificate(cert).all_ok
+    cert.M[-1][0] += 1
+    assert not product_factorization_ok(cert)
+    assert not verify_certificate(cert).factorization_ok
 
 
 def test_phases_certify_for_all_algorithms():
@@ -229,17 +296,20 @@ def test_audit_family_counts():
 
 
 def test_certificate_file_roundtrip(tmp_path):
-    inst = Instance.uniform(2, 3)
-    alg = GenericAlgorithm(inst)
-    run_evasive(alg, 60, seed=1)
-    results = certify_transcript(inst, alg.transcript)
-    phase, cert, v = results[0]
-    path = tmp_path / "phase.cert"
-    write_certificate(path, inst, cert, v)
-    inst2, cert2 = read_certificate(path)
-    assert inst2 == inst
-    assert cert2.M == cert.M and cert2.A == cert.A and cert2.B == cert.B
-    assert verify_certificate(cert2).all_ok
+    for k in (2, 5):
+        inst = Instance.uniform(k, 3)
+        alg = GenericAlgorithm(inst)
+        run_evasive(alg, 60, seed=1)
+        results = certify_transcript(inst, alg.transcript, include_incomplete=True)
+        phase, cert, v = results[0]
+        path = tmp_path / f"phase{k}.cert"
+        write_certificate(path, inst, cert, v)
+        inst2, cert2 = read_certificate(path)
+        assert inst2 == inst
+        assert cert2.M == cert.M and cert2.A == cert.A and cert2.B == cert.B
+        # a file carries no states or requests: they are read off A and B
+        assert cert2.states == () and cert2.requests == ()
+        assert verify_certificate(cert2).all_ok
 
 
 def test_certificates_byte_identical_across_runs(tmp_path):

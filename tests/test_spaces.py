@@ -274,6 +274,8 @@ def assert_same_family(fam, naive, current):
     assert set(fam) == naive.alive
     assert fam.duplicate_creations == naive.duplicate_creations
     assert fam.created_by_dimension() == naive.created_by_dimension()
+    # the per-dimension creation counts travel with a mid-phase snapshot
+    assert fam.copy().created_by_dimension() == naive.created_by_dimension()
     m, top = fam.max_dimension_set()
     assert (m, [fam.pattern(x) for x in top]) == naive.max_dimension_set()
     assert fam.nearest_member(current) == naive.nearest_member(current)
