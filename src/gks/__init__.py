@@ -15,7 +15,6 @@ from .core import (
     ResourceLimitError,
     SequenceFormatError,
     hamming,
-    poly_eval,
     read_sequence,
     satisfies,
     weighted_distance,

@@ -6,10 +6,11 @@ Three independent audit surfaces over concrete run data:
   product polynomial arranged so that a valid phase yields an upper
   triangular matrix with non-zero diagonal that factors through the
   polynomial's 2^k monomials (so the phase length is at most 2^k, with no
-  numerical rank computation anywhere).  The factorization is checked by
-  its structure, not by multiplying it out: the factors must be the
-  monomial vectors of the phase's states and requests, and the binomial
-  identity then fixes their product (see `verify_certificate`);
+  numerical rank computation anywhere).  A certificate is its phase's
+  (state, request) rows and the matrix M they give; the factors A and B
+  are functions of those rows, built only when a file is written, and a
+  file's factors are checked by their structure, not by multiplying them
+  out (see `verify_certificate`);
 * exact harmonic-sum potential accounting for the randomized algorithm's
   tracked distribution;
 * per-phase creation counts of the feasible family against the k!/d! caps.
@@ -93,13 +94,20 @@ def initial_potential(k: int) -> Fraction:
 
 @dataclass
 class PhaseCertificate:
+    """One phase's (state, request) rows and M[t][t'], the difference
+    product of state t and request t'.  The factors A and B are set only on
+    a certificate read from a file, as the file had them; for any other
+    certificate they exist only in the written file."""
     k: int
-    length: int
     states: tuple[Config, ...]
     requests: tuple[Request, ...]
     M: list[list[int]]
-    A: list[list[int]] | None
-    B: list[list[int]] | None
+    A: list[list[int]] | None = None
+    B: list[list[int]] | None = None
+
+    @property
+    def length(self) -> int:
+        return len(self.states)
 
 
 @dataclass(frozen=True)
@@ -118,18 +126,10 @@ def forced_rows(steps: Iterable) -> list[tuple[Config, Request]]:
     return [(s.pre, s.request) for s in steps if not satisfies(s.pre, s.request)]
 
 
-def build_phase_matrix(rows: Sequence[tuple[Config, Request]], k: int,
-                       max_materialize_k: int = 12) -> PhaseCertificate:
-    """Certificate matrices for one phase of forced requests.
-
+def build_phase_matrix(rows: Sequence[tuple[Config, Request]], k: int) -> PhaseCertificate:
+    """Certificate for one phase of forced requests: its rows and M, where
     M[t][t'] evaluates the difference product on state t and request t'.
-    A has one column per coordinate subset (ascending bitmask; bit i set
-    means coordinate i belongs to the subset) holding the state's coordinate
-    product over the subset; B holds the signed complementary products of
-    the requests.  For more than `max_materialize_k` coordinates only M is
-    materialized, and verification checks it against the states and
-    requests directly.
-    """
+    The factors are not built here (see `write_certificate`)."""
     ell = len(rows)
     if ell == 0:
         raise InvalidInputError("cannot certify an empty phase")
@@ -142,12 +142,8 @@ def build_phase_matrix(rows: Sequence[tuple[Config, Request]], k: int,
             raise InvalidInputError("row arity differs from k")
     states = tuple(q for q, _ in rows)
     requests = tuple(r for _, r in rows)
-    A = B = None
-    if k <= max_materialize_k:
-        A = [_subset_products(q) for q in states]
-        B = _complement_columns(requests)
-    return PhaseCertificate(k=k, length=ell, states=states, requests=requests,
-                            M=_difference_products(states, requests), A=A, B=B)
+    return PhaseCertificate(k=k, states=states, requests=requests,
+                            M=_difference_products(states, requests))
 
 
 def _difference_products(states: Sequence[Config],
@@ -180,23 +176,21 @@ def verify_certificate(cert: PhaseCertificate) -> CertificateVerdicts:
     triangular matrix that factors through 2^k monomials cannot have more
     than 2^k rows.
 
-    `factorization_ok` means: A's row t is the subset-product vector of a
-    state q_t (entry S is the product of q_t,i over i in S), B's column t
-    is the complement-product vector of a request r_t (entry S is the
-    product of -r_t,i over i outside S), and M[t][t'] is the difference
-    product of q_t and r_t'.  By the binomial identity
+    One rule for every certificate: `factorization_ok` holds when M[t][t']
+    is the difference product of state q_t and request r_t'.  By the
+    binomial identity
 
         sum over S of prod_{i in S} q_i * prod_{i not in S} (-r_i)
             = prod_i (q_i - r_i),
 
-    these checks prove M = A*B without forming the product: they cost
-    O(l*2^k + l^2*k) against O(l^2*2^k) for the product.  The states and
-    requests are the certificate's own when it carries them (it was built
-    in-process); a certificate read from a file carries none, and they are
-    read off the factors, q_t,i as A[t][1 << i] and r_t,i as
-    -B[full ^ (1 << i)][t] with full = 2^k - 1.  Without materialized
-    factors only M is checked, against the carried states and requests.
-    So the verdict is stricter than M = A*B in one way: factors that
+    M then equals A*B, where A's row t is the subset-product vector of q_t
+    (entry S is the product of q_t,i over i in S) and B's column t the
+    complement-product vector of r_t (entry S is the product of -r_t,i
+    over i outside S).  A certificate built in-process carries no factors:
+    they are built only when a file is written.  A certificate read from a
+    file carries the file's factors, and they must also equal those
+    vectors of its rows.  This costs O(l*2^k + l^2*k) against O(l^2*2^k)
+    for the product, and is stricter than M = A*B in one way: factors that
     multiply to M but are not the monomial vectors of these states and
     requests are rejected.
     """
@@ -204,22 +198,13 @@ def verify_certificate(cert: PhaseCertificate) -> CertificateVerdicts:
     M = cert.M
     triangular = all(M[t][tp] == 0 for t in range(ell) for tp in range(t))
     diagonal = all(M[t][t] != 0 for t in range(ell))
-    return CertificateVerdicts(triangular, diagonal, _factorization_holds(cert))
-
-
-def _factorization_holds(cert: PhaseCertificate) -> bool:
-    states, requests = cert.states, cert.requests
-    A, B = cert.A, cert.B
-    if A is not None and B is not None:
-        if not states:
-            singles = [1 << i for i in range(cert.k)]
-            full = (1 << cert.k) - 1
-            states = [tuple(row[s] for s in singles) for row in A]
-            requests = list(zip(*(map(neg, B[full ^ s]) for s in singles)))
-        if A != [_subset_products(q) for q in states] or B != _complement_columns(requests):
-            return False
-    return (len(states) == len(requests) == cert.length
-            and cert.M == _difference_products(states, requests))
+    factorization = (len(cert.requests) == ell
+                     and M == _difference_products(cert.states, cert.requests))
+    if cert.A is not None or cert.B is not None:
+        factorization = (factorization
+                         and cert.A == [_subset_products(q) for q in cert.states]
+                         and cert.B == _complement_columns(cert.requests))
+    return CertificateVerdicts(triangular, diagonal, factorization)
 
 
 def phases_of(steps: Sequence) -> list[tuple[int, list, bool]]:
@@ -311,13 +296,8 @@ def audit_phase_motion(tracker_steps: Sequence, k: int) -> list[PhaseMotionAudit
     """Per-phase check that expected motion stays within k times the opening
     potential.  The opening move of a phase is charged to the boundary, not
     to the interior sum, matching the telescoping of the potential."""
-    by_phase: dict[int, list] = {}
-    for st in tracker_steps:
-        by_phase.setdefault(st.phase, []).append(st)
-    last = max(by_phase) if by_phase else 0
     out = []
-    for phase in sorted(by_phase):
-        steps = by_phase[phase]
+    for phase, steps, complete in phases_of(tracker_steps):
         phi_start = potential_value(steps[0].size_cur, steps[0].m_cur, k)
         motion = Fraction(0)
         monotone = True
@@ -329,7 +309,7 @@ def audit_phase_motion(tracker_steps: Sequence, k: int) -> list[PhaseMotionAudit
                 monotone = False
             prev_phi = phi
         ok = monotone and motion <= k * phi_start
-        out.append(PhaseMotionAudit(phase, phase != last, phi_start, motion, monotone, ok))
+        out.append(PhaseMotionAudit(phase, complete, phi_start, motion, monotone, ok))
     return out
 
 
@@ -356,19 +336,23 @@ def audit_family_counts(created_by_dim: Mapping[int, int], k: int) -> FamilyCoun
 def write_certificate(dest: Union[str, Path, IO[str]], instance: Instance,
                       cert: PhaseCertificate,
                       verdicts: CertificateVerdicts | None = None) -> None:
-    if cert.A is None or cert.B is None:
-        raise InvalidInputError("certificate was built without materialized factors")
+    """Write M and the factors A and B, both built here from the rows.
+
+    A has one row per state holding its coordinate product over every
+    subset (ascending bitmask; bit i set means coordinate i belongs to the
+    subset); B holds the signed complementary products of the requests.
+    """
     if verdicts is None:
         verdicts = verify_certificate(cert)
     write_lines(dest, [
         *header_lines(CERT_HEADER, instance),
         f"l={cert.length}",
         "M",
-        *(" ".join(str(x) for x in row) for row in cert.M),
+        *(" ".join(map(str, row)) for row in cert.M),
         "A",
-        *(" ".join(str(x) for x in row) for row in cert.A),
+        *(" ".join(map(str, _subset_products(q))) for q in cert.states),
         "B",
-        *(" ".join(str(x) for x in row) for row in cert.B),
+        *(" ".join(map(str, row)) for row in _complement_columns(cert.requests)),
         f"# verdicts: triangular={verdicts.triangular} "
         f"diagonal={verdicts.diagonal_nonzero} factorization={verdicts.factorization_ok}",
     ])
@@ -382,7 +366,11 @@ def _positive_int(text: str) -> int:
 
 
 def read_certificate(src: Union[str, Path, IO[str]]) -> tuple[Instance, PhaseCertificate]:
-    """Parse a certificate file; every matrix row is checked for its width."""
+    """Parse a certificate file; every matrix row is checked for its width.
+
+    The certificate keeps the file's factors; its states and requests are
+    read off them, q_t,i as A[t][1 << i] and r_t,i as -B[full ^ (1 << i)][t]
+    with full = 2^k - 1."""
     lines = ContentLines(src)
     instance = read_header(lines, CERT_HEADER)
     _, ell = lines.field("l", _positive_int)
@@ -410,5 +398,8 @@ def read_certificate(src: Union[str, Path, IO[str]]) -> tuple[Instance, PhaseCer
     B = matrix("B", 1 << k, ell)
     for lineno, line in lines:
         raise SequenceFormatError(f"unexpected line after matrix B: {line!r}", lineno)
-    cert = PhaseCertificate(k=k, length=ell, states=(), requests=(), M=M, A=A, B=B)
-    return instance, cert
+    singles = [1 << i for i in range(k)]
+    full = (1 << k) - 1
+    states = tuple(tuple(row[s] for s in singles) for row in A)
+    requests = tuple(zip(*(map(neg, B[full ^ s]) for s in singles)))
+    return instance, PhaseCertificate(k=k, states=states, requests=requests, M=M, A=A, B=B)

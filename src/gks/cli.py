@@ -12,6 +12,7 @@ import concurrent.futures
 import json
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -191,12 +192,8 @@ def _run_one(alg: str, instance: Instance, requests, gen, steps, seed, start,
     certificates = None
     if with_certify:
         results = _guard(certify_transcript, instance, algorithm.transcript)
-        certificates = [
-            {"phase": phase, "length": cert.length,
-             "triangular": v.triangular, "diagonal_nonzero": v.diagonal_nonzero,
-             "factorization_ok": v.factorization_ok}
-            for phase, cert, v in results
-        ]
+        certificates = [{"phase": phase, "length": cert.length, **asdict(v)}
+                        for phase, cert, v in results]
     opt = None
     if with_opt:
         opt_instance = instance
@@ -286,26 +283,27 @@ def cmd_run(alg, seq_file, gen, steps, k, sizes, weights, seed, seeds, jobs,
             write_transcript(transcript_out, instance, algorithm.transcript,
                              meta={"alg": alg, "seed": seed_list[0]})
         _write_report(report, out)
-        if with_certify and not all(
-            c["triangular"] and c["diagonal_nonzero"] and c["factorization_ok"]
-            for c in report["certificates"]
-        ):
-            _fail(EXIT_VIOLATION, "certificate verdict failed")
-        return
-
-    if dump_seq or transcript_out:
-        _fail(EXIT_INPUT, "--dump-seq/--transcript-out need a single seed")
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_sweep_worker, tasks))
+        reports = [report]
     else:
-        reports = [_sweep_worker(t) for t in tasks]
-    for seed_value, report in zip(seed_list, reports):
-        dest = None
-        if out:
-            path = Path(out)
-            dest = str(path.with_name(f"{path.stem}.seed{seed_value}{path.suffix}"))
-        _write_report(report, dest)
+        if dump_seq or transcript_out:
+            _fail(EXIT_INPUT, "--dump-seq/--transcript-out need a single seed")
+        if jobs > 1:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+                reports = list(pool.map(_sweep_worker, tasks))
+        else:
+            reports = [_sweep_worker(t) for t in tasks]
+        for seed_value, report in zip(seed_list, reports):
+            dest = None
+            if out:
+                path = Path(out)
+                dest = str(path.with_name(f"{path.stem}.seed{seed_value}{path.suffix}"))
+            _write_report(report, dest)
+    # every report is written before a failed verdict ends the run
+    if with_certify and not all(
+        c["triangular"] and c["diagonal_nonzero"] and c["factorization_ok"]
+        for report in reports for c in report["certificates"]
+    ):
+        _fail(EXIT_VIOLATION, "certificate verdict failed")
 
 
 @main.command("opt")

@@ -123,15 +123,6 @@ def satisfies(q: Config, r: Request) -> bool:
     return any(qi == ri for qi, ri in zip(q, r))
 
 
-def poly_eval(q: Config, r: Request) -> int:
-    """Exact product of coordinate differences; zero iff q satisfies r."""
-    _check_len(q, r)
-    out = 1
-    for qi, ri in zip(q, r):
-        out *= qi - ri
-    return out
-
-
 def hamming(a: Config, b: Config) -> int:
     """Number of coordinates where the two configurations differ."""
     _check_len(a, b)

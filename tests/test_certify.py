@@ -57,17 +57,40 @@ def certificate_rows(draw, low=0):
     return k, draw(st.lists(st.tuples(point, point), min_size=ell, max_size=ell))
 
 
+def file_text(cert):
+    """The certificate's file; every point in these tests lies in 0..5."""
+    buf = io.StringIO()
+    write_certificate(buf, Instance.uniform(cert.k, 6), cert)
+    return buf.getvalue()
+
+
+def read_text(text):
+    return read_certificate(io.StringIO(text))[1]
+
+
+def altered(text, label, row, col, delta):
+    """The file text with entry (row, col) of matrix `label` moved by delta."""
+    lines = text.splitlines()
+    i = lines.index(label) + 1 + row
+    entries = lines[i].split()
+    entries[col] = str(int(entries[col]) + delta)
+    lines[i] = " ".join(entries)
+    return "\n".join(lines) + "\n"
+
+
 @settings(max_examples=150, deadline=None)
 @given(certificate_rows())
 def test_factorization_matches_on_random_rows(case):
     # M = A*B must hold for any states/requests, triangular or not, by the
-    # structural check and by the entry-by-entry product alike
+    # structural check and by the entry-by-entry product alike: on the
+    # built certificate (no factors) and on its file form (factors)
     k, rows = case
-    for limit in (12, 0):
-        cert = build_phase_matrix(rows, k, max_materialize_k=limit)
-        assert (cert.A is None) == (limit == 0)
-        assert product_factorization_ok(cert)
-        assert verify_certificate(cert).factorization_ok
+    cert = build_phase_matrix(rows, k)
+    read = read_text(file_text(cert))
+    assert cert.A is None and cert.B is None and read.A is not None
+    for c in (cert, read):
+        assert product_factorization_ok(c)
+        assert verify_certificate(c).factorization_ok
 
 
 @settings(max_examples=150, deadline=None)
@@ -75,17 +98,15 @@ def test_factorization_matches_on_random_rows(case):
        st.integers(1, 3))
 def test_one_altered_entry_fails_both_checks(case, label, pick, delta):
     # with every point non-zero every factor entry is non-zero, so one
-    # altered entry of A or B changes the product A*B
+    # altered entry of A or B in the file changes the product A*B
     k, rows = case
-    cert = build_phase_matrix(rows, k)
-    matrix = getattr(cert, label)
-    cells = [(i, j) for i, row in enumerate(matrix) for j in range(len(row))]
-    i, j = cells[pick % len(cells)]
-    matrix[i][j] += delta
-    assert not product_factorization_ok(cert)
-    assert not verify_certificate(cert).factorization_ok
-    # read from a file, states and requests come off the factors instead
-    assert not verify_certificate(replace(cert, states=(), requests=())).factorization_ok
+    ell = len(rows)
+    shape = {"M": (ell, ell), "A": (ell, 1 << k), "B": (1 << k, ell)}[label]
+    pick %= shape[0] * shape[1]
+    read = read_text(altered(file_text(build_phase_matrix(rows, k)), label,
+                             pick // shape[1], pick % shape[1], delta))
+    assert not product_factorization_ok(read)
+    assert not verify_certificate(read).factorization_ok
 
 
 def evasive_rows(k, n, seed):
@@ -100,29 +121,27 @@ def test_consistent_forgery_fails_only_the_structural_check():
     # A*B: the product holds, but the factors prove nothing about the
     # phase, so the structural check rejects it
     k = 3
-    cert = build_phase_matrix(evasive_rows(k, 3, seed=4), k)
-    cert.A[0][(1 << k) - 1] += 1
-    cert.M = [[sum(a * b for a, b in zip(row, col)) for col in zip(*cert.B)]
-              for row in cert.A]
-    assert product_factorization_ok(cert)
-    assert not verify_certificate(cert).factorization_ok
-    assert not verify_certificate(replace(cert, states=(), requests=())).factorization_ok
+    read = read_text(file_text(build_phase_matrix(evasive_rows(k, 3, seed=4), k)))
+    read.A[0][(1 << k) - 1] += 1
+    read.M = [[sum(a * b for a, b in zip(row, col)) for col in zip(*read.B)]
+              for row in read.A]
+    assert product_factorization_ok(read)
+    assert not verify_certificate(read).factorization_ok
 
 
 def test_factors_must_belong_to_the_certificate_states_and_requests():
     k = 3
-    cert = build_phase_matrix(evasive_rows(k, 3, seed=5), k)
-    assert verify_certificate(cert).all_ok
-    moved = [tuple(x + 1 for x in row) for row in cert.states]
-    for forged in (replace(cert, states=tuple(moved)),
-                   replace(cert, requests=tuple(moved))):
+    read = read_text(file_text(build_phase_matrix(evasive_rows(k, 3, seed=5), k)))
+    assert verify_certificate(read).all_ok
+    moved = tuple(tuple(x + 1 for x in row) for row in read.states)
+    for forged in (replace(read, states=moved), replace(read, requests=moved)):
         assert product_factorization_ok(forged)
         assert not verify_certificate(forged).factorization_ok
 
 
-def test_altered_m_caught_without_materialized_factors():
+def test_altered_m_caught_on_a_built_certificate():
     k = 3
-    cert = build_phase_matrix(evasive_rows(k, 3, seed=6), k, max_materialize_k=0)
+    cert = build_phase_matrix(evasive_rows(k, 3, seed=6), k)
     assert cert.A is None and verify_certificate(cert).all_ok
     cert.M[-1][0] += 1
     assert not product_factorization_ok(cert)
@@ -306,9 +325,11 @@ def test_certificate_file_roundtrip(tmp_path):
         write_certificate(path, inst, cert, v)
         inst2, cert2 = read_certificate(path)
         assert inst2 == inst
-        assert cert2.M == cert.M and cert2.A == cert.A and cert2.B == cert.B
-        # a file carries no states or requests: they are read off A and B
-        assert cert2.states == () and cert2.requests == ()
+        # the built certificate carries no factors; the file's are kept,
+        # and the states and requests are read off them
+        assert cert.A is None and cert.B is None
+        assert cert2.M == cert.M and product_factorization_ok(cert2)
+        assert cert2.states == cert.states and cert2.requests == cert.requests
         assert verify_certificate(cert2).all_ok
 
 

@@ -9,8 +9,9 @@ from click.testing import CliRunner
 
 from gks.adversaries import random_sequence
 from gks.algorithms import read_transcript, transcript_lines
-from gks import cli
+from gks import certify, cli
 from gks.cli import exact_decimal, main
+from gks.certify import CertificateVerdicts, read_certificate, verify_certificate
 from gks.core import Instance, write_sequence
 
 
@@ -97,6 +98,24 @@ def test_run_seed_sweep(runner, seq_file, tmp_path):
     for seed in [1, 2, 3]:
         report = read_report(tmp_path / f"sweep.seed{seed}.json")
         assert report["seed"] == seed
+
+
+def test_failed_verdict_exits_2_after_every_report(runner, tmp_path, monkeypatch):
+    # the single-seed and the sweep path alike write every report first
+    failing = CertificateVerdicts(triangular=True, diagonal_nonzero=True,
+                                  factorization_ok=False)
+    monkeypatch.setattr(certify, "verify_certificate", lambda cert: failing)
+    evasive = ["run", "--alg", "det", "--gen", "evasive", "--steps", "40", "--k", "2",
+               "--sizes", "3", "--certify", "--jobs", "1"]
+    for seeds, names in ((["--seed", "1"], ["one.json"]),
+                         (["--seeds", "1,2"], ["sweep.seed1.json", "sweep.seed2.json"])):
+        out = tmp_path / names[0].split(".")[0]
+        result = runner.invoke(main, evasive + seeds + ["--out", f"{out}.json"])
+        assert result.exit_code == 2, result.output
+        assert "certificate verdict failed" in result.stderr
+        for name in names:
+            certificates = read_report(tmp_path / name)["certificates"]
+            assert certificates and not any(c["factorization_ok"] for c in certificates)
 
 
 def assert_input_error(result, text=""):
@@ -257,6 +276,24 @@ def test_certify_inline_and_transcript(runner, seq_file, tmp_path):
     from_file = runner.invoke(main, ["certify", "--transcript", str(transcript)])
     assert from_file.exit_code == 0, from_file.output
     assert "VIOLATION" not in from_file.output
+
+
+def test_certify_writes_a_k13_certificate(runner, tmp_path):
+    # one forced row in phase 1, closed by a row of phase 2: a certificate
+    # past k = 12 is written like any other and verifies from its file
+    k = 13
+    zero, one, moved = "0," * (k - 1) + "0", "1," * (k - 1) + "1", "1" + ",0" * (k - 1)
+    transcript = tmp_path / "hand.tsv"
+    transcript.write_text(
+        f"gks-transcript v1\nk={k}\nsizes={'2,' * (k - 1)}2\nweights={'1,' * (k - 1)}1\n"
+        f"1\t1\t{one}\t{zero}\t{moved}\t1\t{k}\t{k - 1}\t{k}\n"
+        f"2\t2\t{zero}\t{moved}\t{moved}\t0\t1\t0\t1\n")
+    result = runner.invoke(main, ["certify", "--transcript", str(transcript),
+                                  "--cert-out", str(tmp_path / "certs")])
+    assert result.exit_code == 0, result.output
+    instance, cert = read_certificate(tmp_path / "certs" / "phase0001.cert")
+    assert instance.k == k and cert.length == 1 and len(cert.A[0]) == 1 << k
+    assert verify_certificate(cert).all_ok
 
 
 def test_certify_detects_corruption(runner, tmp_path):

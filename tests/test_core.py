@@ -13,7 +13,6 @@ from gks.core import (
     InvalidInputError,
     SequenceFormatError,
     hamming,
-    poly_eval,
     read_sequence,
     satisfies,
     weighted_distance,
@@ -28,6 +27,11 @@ from gks.certify import (
     read_certificate,
     write_certificate,
 )
+
+
+def poly_eval(q, r):
+    """The difference product, as a one-row certificate's only M entry."""
+    return build_phase_matrix([(q, r)], len(q)).M[0][0]
 
 
 def test_satisfies_examples():
@@ -91,7 +95,7 @@ def test_dimension_mismatch_errors():
     with pytest.raises(InvalidInputError):
         satisfies((1, 2), (1, 2, 3))
     with pytest.raises(InvalidInputError):
-        poly_eval((1,), (1, 2))
+        build_phase_matrix([((1,), (1, 2))], 1)
     with pytest.raises(InvalidInputError):
         hamming((1, 2, 3), (1, 2))
     with pytest.raises(InvalidInputError):
