@@ -29,6 +29,7 @@ from .core import (
     parse_fractions,
     parse_ints,
     read_sequence,
+    write_lines,
     write_sequence,
 )
 from .algorithms import (
@@ -67,6 +68,14 @@ def _guard(fn, *args, **kwargs):
         _fail(EXIT_VIOLATION, str(e))
     except (InvalidInputError, GKSError) as e:
         _fail(EXIT_INPUT, str(e))
+
+
+def _write(path, writer, *args, **kwargs):
+    """Run a file writer; an unusable path is an input error."""
+    try:
+        writer(path, *args, **kwargs)
+    except OSError as e:
+        _fail(EXIT_INPUT, f"{path}: {e.strerror or e}")
 
 
 def exact_decimal(x: Fraction, places: int = 6) -> str:
@@ -126,11 +135,11 @@ def _phases_field(summaries) -> list[dict]:
 
 
 def _write_report(report: dict, out: str | None):
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(report, indent=2, sort_keys=True)
     if out:
-        Path(out).write_text(text)
+        _write(out, write_lines, [text])
     else:
-        click.echo(text, nl=False)
+        click.echo(text)
 
 
 def _build_algorithm(alg: str, instance: Instance, seed: int, start):
@@ -278,10 +287,10 @@ def cmd_run(alg, seq_file, gen, steps, k, sizes, weights, seed, seeds, jobs,
     if len(tasks) == 1:
         report, algorithm, seq = _run_one(*tasks[0])
         if dump_seq:
-            write_sequence(dump_seq, instance, seq)
+            _write(dump_seq, write_sequence, instance, seq)
         if transcript_out:
-            write_transcript(transcript_out, instance, algorithm.transcript,
-                             meta={"alg": alg, "seed": seed_list[0]})
+            _write(transcript_out, write_transcript, instance, algorithm.transcript,
+                   meta={"alg": alg, "seed": seed_list[0]})
         _write_report(report, out)
         reports = [report]
     else:
@@ -359,7 +368,7 @@ def cmd_duel(alg, adversary, k, rounds, seed, start, out, dump_seq):
     report.update(adversary=adversary, adversary_model=result.adversary_model,
                   rounds=result.rounds_completed, round_lengths=result.round_lengths)
     if dump_seq:
-        write_sequence(dump_seq, instance, result.requests)
+        _write(dump_seq, write_sequence, instance, result.requests)
     _write_report(report, out)
 
 
@@ -398,8 +407,8 @@ def cmd_certify(transcript_file, alg, seq_file, seed, cert_out):
         )
         if cert_out:
             out_dir = Path(cert_out)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            write_certificate(out_dir / f"phase{phase:04d}.cert", instance, cert, v)
+            _write(out_dir, Path.mkdir, parents=True, exist_ok=True)
+            _write(out_dir / f"phase{phase:04d}.cert", write_certificate, instance, cert, v)
     if not results:
         click.echo("no complete phases to certify")
     if not all_ok:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import eq, ne
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
@@ -78,6 +80,8 @@ class Instance:
         for i, w in enumerate(self.weights):
             if not isinstance(w, Fraction) or w <= 0:
                 raise InvalidInputError(f"metric {i}: weight must be a positive Fraction, got {w!r}")
+        # not a field: equality, hash and repr stay those of (k, sizes, weights)
+        object.__setattr__(self, "_ranges", tuple(range(n) for n in self.sizes))
 
     @classmethod
     def make(cls, sizes: Sequence[int], weights: Sequence[WeightLike] | None = None) -> "Instance":
@@ -106,9 +110,12 @@ class Instance:
         t = tuple(t)
         if len(t) != self.k:
             raise InvalidInputError(f"{what} has {len(t)} coordinates, expected {self.k}")
-        for i, (x, n) in enumerate(zip(t, self.sizes)):
-            if not isinstance(x, int) or not 0 <= x < n:
-                raise InvalidInputError(f"{what} coordinate {i} = {x!r} out of range [0, {n})")
+        if not (all(map(isinstance, t, repeat(int)))
+                and all(map(range.__contains__, self._ranges, t))):
+            # find the first bad coordinate for the message
+            for i, (x, n) in enumerate(zip(t, self.sizes)):
+                if not isinstance(x, int) or not 0 <= x < n:
+                    raise InvalidInputError(f"{what} coordinate {i} = {x!r} out of range [0, {n})")
         return t
 
 
@@ -120,13 +127,13 @@ def _check_len(a: Sequence[int], b: Sequence[int]) -> None:
 def satisfies(q: Config, r: Request) -> bool:
     """True iff some server already sits on its requested point."""
     _check_len(q, r)
-    return any(qi == ri for qi, ri in zip(q, r))
+    return any(map(eq, q, r))
 
 
 def hamming(a: Config, b: Config) -> int:
     """Number of coordinates where the two configurations differ."""
     _check_len(a, b)
-    return sum(x != y for x, y in zip(a, b))
+    return sum(map(ne, a, b))
 
 
 def weighted_distance(a: Config, b: Config, weights: Sequence[Fraction]) -> Fraction:

@@ -215,7 +215,10 @@ class WeightedAlgorithm:
             m_i = 1 if i == 1 else self.rounded.multipliers[i - 2]
             self._levels.append(_Level(i, w, c_i, m_i, instance.sizes[i - 1], start[i - 1]))
         self._lvl1 = self._levels[0]
+        self._upper = self._levels[1:]
+        self._top = self._levels[-1]
         self._lvl1_req_in_phase = 0
+        self._current: Config = start
 
         self.total_cost = 0
         self.filtered = 0
@@ -223,28 +226,28 @@ class WeightedAlgorithm:
         self.transcript: list[Step] | None = [] if keep_transcript else None
         self.phase_summaries: list[PhaseSummary] = []
         self._step_index = 0
-        self._top_acc = {"requests": 0, "moves": 0, "cost": 0, "filtered": 0}
+        self._reset_top_counts()
         self._finalized = False
 
     # -- public surface -----------------------------------------------------
 
     @property
     def current(self) -> Config:
-        return tuple(level.pos for level in self._levels)
+        return self._current
 
     @property
     def phase(self) -> int:
-        return self._levels[-1].completed_phases + 1
+        return self._top.completed_phases + 1
 
     def serve(self, r: Sequence[int]) -> Step:
         r = self.instance.check_coords(r)
-        pre = self.current
+        pre = self._current
         self._step_index += 1
-        top_phase = self.phase
+        top_phase = self._top.completed_phases + 1
 
         if satisfies(pre, r):
             self.filtered += 1
-            self._top_acc["filtered"] += 1
+            self._top_filtered += 1
             step = Step(index=self._step_index, phase=top_phase, request=r, pre=pre,
                         post=pre, cost=0, family_size=0, max_dim=0, max_count=0,
                         moved=False, shrunk=False, phase_start=False)
@@ -253,48 +256,51 @@ class WeightedAlgorithm:
             return step
 
         self.counted += 1
-        phase_start = self._top_acc["requests"] == 0
-        self._top_acc["requests"] += 1
+        phase_start = self._top_requests == 0
+        self._top_requests += 1
 
-        # lazy phase-opening charge: the scheduled move to an arbitrary point
-        # is realized as staying put (actual 0, charged at the level weight)
-        for level in self._levels[1:]:
-            if not level.opened:
-                level.opened = True
-                self._propagate(level.i, actual=0, charged=level.w)
-
-        # per-subphase tallies of what each metric is asked for
-        for level in self._levels[1:]:
-            p = r[level.i - 1]
-            level.counts[p] = level.counts.get(p, 0) + 1
-            level.req_in_subphase += 1
-
-        # the bottom server chases its coordinate on every counted request
         lvl1 = self._lvl1
         if lvl1.pos == r[0]:
             raise InvariantViolationError(
                 "counted request already matched the bottom server"
             )
+        for level, p in zip(self._upper, r[1:]):
+            # lazy phase-opening charge: the scheduled move to an arbitrary
+            # point is realized as staying put (actual 0, charged at the weight)
+            if not level.opened:
+                level.opened = True
+                self._propagate(level.i, actual=0, charged=level.w)
+            # per-subphase tally of what the metric is asked for
+            level.counts[p] = level.counts.get(p, 0) + 1
+            level.req_in_subphase += 1
+            # the bottom server's move below, at actual and charged weight 1
+            level.lower_actual += 1
+            level.lower_charged += 1
+
+        # the bottom server chases its coordinate on every counted request
         lvl1.pos = r[0]
         cost = 1
         self.total_cost += 1
-        self._propagate(1, actual=1, charged=1)
 
         self._lvl1_req_in_phase += 1
         if self._lvl1_req_in_phase == self.phase_len_1:
             self._lvl1_req_in_phase = 0
             lvl1.completed_phases += 1
             cost += self._cascade(2)
+            post = tuple(level.pos for level in self._levels)
+        else:
+            post = r[:1] + pre[1:]
+        self._current = post
 
-        post = self.current
+        moved = post != pre
         step = Step(index=self._step_index, phase=top_phase, request=r, pre=pre,
                     post=post, cost=cost, family_size=0, max_dim=0, max_count=0,
-                    moved=post != pre, shrunk=False, phase_start=phase_start)
-        self._top_acc["moves"] += step.moved
-        self._top_acc["cost"] += cost
+                    moved=moved, shrunk=False, phase_start=phase_start)
+        self._top_moves += moved
+        self._top_cost += cost
         if self.transcript is not None:
             self.transcript.append(step)
-        if top_phase != self.phase:
+        if self._top.completed_phases == top_phase:
             # the top level completed its phase on this request
             self._emit_top_summary(top_phase, complete=True)
         return step
@@ -306,7 +312,8 @@ class WeightedAlgorithm:
 
     def finalize(self) -> None:
         if not self._finalized:
-            if any(v for v in self._top_acc.values()):
+            # moves and cost accrue only with counted requests
+            if self._top_requests or self._top_filtered:
                 self._emit_top_summary(self.phase, complete=False)
             self._finalized = True
 
@@ -333,6 +340,11 @@ class WeightedAlgorithm:
             raise InvariantViolationError(
                 f"level {i} subphase closed at charged cost {level.lower_charged}, "
                 f"expected exactly {level.w}"
+            )
+        if level.lower_actual > level.lower_charged:
+            raise InvariantViolationError(
+                f"level {i} subphase closed at actual cost {level.lower_actual}, "
+                f"above its charged cost {level.lower_charged}"
             )
         level.subph_requests.append(level.req_in_subphase)
         level.subph_lower_actual.append(level.lower_actual)
@@ -395,14 +407,19 @@ class WeightedAlgorithm:
         level.completed_phases += 1
         level._reset_phase()
 
+    def _reset_top_counts(self) -> None:
+        self._top_requests = 0
+        self._top_moves = 0
+        self._top_cost = 0
+        self._top_filtered = 0
+
     def _emit_top_summary(self, phase: int, complete: bool) -> None:
-        acc = self._top_acc
         self.phase_summaries.append(PhaseSummary(
-            phase=phase, requests=acc["requests"], moves=acc["moves"],
-            shrinks=0, cost=acc["cost"], complete=complete,
+            phase=phase, requests=self._top_requests, moves=self._top_moves,
+            shrinks=0, cost=self._top_cost, complete=complete,
             created_by_dim={}, duplicate_creations=0, adopted_spaces=None,
         ))
-        self._top_acc = {"requests": 0, "moves": 0, "cost": 0, "filtered": 0}
+        self._reset_top_counts()
 
     # -- reporting ----------------------------------------------------------
 

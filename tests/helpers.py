@@ -4,8 +4,19 @@ builders of the program's own feasible family."""
 import itertools
 
 from gks.algorithms import next_family
-from gks.core import Instance, satisfies, weighted_distance
+from gks.core import Instance, InvalidInputError, satisfies, weighted_distance
 from gks.spaces import FeasibleFamily
+
+
+def check_coords(instance: Instance, t, what="request"):
+    """A request or configuration checked coordinate by coordinate."""
+    t = tuple(t)
+    if len(t) != instance.k:
+        raise InvalidInputError(f"{what} has {len(t)} coordinates, expected {instance.k}")
+    for i, (x, n) in enumerate(zip(t, instance.sizes)):
+        if not isinstance(x, int) or not 0 <= x < n:
+            raise InvalidInputError(f"{what} coordinate {i} = {x!r} out of range [0, {n})")
+    return t
 
 
 def all_configs(sizes):

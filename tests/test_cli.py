@@ -278,6 +278,39 @@ def test_certify_inline_and_transcript(runner, seq_file, tmp_path):
     assert "VIOLATION" not in from_file.output
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["run", "--alg", "det", "--gen", "random", "--k", "2", "--sizes", "2", "--steps", "6"],
+     "--out"),
+    (["run", "--alg", "det", "--gen", "random", "--k", "2", "--sizes", "2", "--steps", "6"],
+     "--transcript-out"),
+    (["run", "--alg", "det", "--gen", "random", "--k", "2", "--sizes", "2", "--steps", "6"],
+     "--dump-seq"),
+    (["duel", "--k", "2", "--rounds", "1"], "--out"),
+    (["duel", "--k", "2", "--rounds", "1"], "--dump-seq"),
+])
+def test_unusable_output_path_is_an_input_error(runner, tmp_path, args, flag):
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    dest = str(blocker / "r.json")
+    assert_input_error(runner.invoke(main, args + [flag, dest]),
+                       f"error: {dest}: Not a directory")
+
+
+def test_certify_unusable_cert_out_is_an_input_error(runner, seq_file, tmp_path):
+    transcript = tmp_path / "t.tsv"
+    result = runner.invoke(main, ["run", "--alg", "det", "--seq", str(seq_file),
+                                  "--transcript-out", str(transcript)])
+    assert result.exit_code == 0, result.output
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    dest = str(blocker / "sub")
+    result = runner.invoke(main, ["certify", "--transcript", str(transcript),
+                                  "--cert-out", dest])
+    # the transcript has a complete phase, so a certificate is due
+    assert "phase 1:" in result.stdout
+    assert_input_error(result, f"error: {dest}: Not a directory")
+
+
 def test_certify_writes_a_k13_certificate(runner, tmp_path):
     # one forced row in phase 1, closed by a row of phase 2: a certificate
     # past k = 12 is written like any other and verifies from its file

@@ -28,6 +28,8 @@ from gks.certify import (
     write_certificate,
 )
 
+from helpers import check_coords
+
 
 def poly_eval(q, r):
     """The difference product, as a one-row certificate's only M entry."""
@@ -74,6 +76,43 @@ def test_hamming_is_a_metric(cols):
     assert (hamming(a, b) == 0) == (a == b)
     assert hamming(a, c) <= hamming(a, b) + hamming(b, c)
     assert hamming(a, b) <= len(a)
+
+
+@given(st.integers(1, 5).flatmap(
+    lambda k: st.tuples(*[st.tuples(coords, coords)] * k)))
+def test_satisfies_and_hamming_match_zip_forms(cols):
+    a = tuple(c[0] for c in cols)
+    b = tuple(c[1] for c in cols)
+    assert satisfies(a, b) is any(x == y for x, y in zip(a, b))
+    assert hamming(a, b) == sum(x != y for x, y in zip(a, b))
+    for f in (satisfies, hamming):
+        with pytest.raises(InvalidInputError,
+                           match=f"coordinate count mismatch: {len(a)} vs {len(a) + 1}"):
+            f(a, b + (0,))
+
+
+def outcome(check, instance, t):
+    try:
+        return "ok", check(instance, t)
+    except InvalidInputError as e:
+        return "error", str(e)
+
+
+oddities = st.one_of(st.integers(-3, 8), st.booleans(), st.floats(-1, 8), st.none(),
+                     st.text(max_size=2), st.just(1.0), st.just(2 ** 70))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(2, 5), min_size=1, max_size=4), st.data())
+def test_check_coords_matches_the_coordinate_loop(sizes, data):
+    inst = Instance.make(sizes)
+    t = data.draw(st.lists(st.one_of(st.integers(0, 4), oddities), min_size=0,
+                           max_size=len(sizes) + 1))
+    what = data.draw(st.sampled_from(["request", "start configuration"]))
+    fast = outcome(lambda i, x: i.check_coords(x, what), inst, t)
+    assert fast == outcome(lambda i, x: check_coords(i, x, what), inst, t)
+    if fast[0] == "ok":
+        assert type(fast[1]) is tuple and fast[1] == tuple(t)
 
 
 def test_weighted_distance_examples():

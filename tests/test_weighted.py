@@ -1,12 +1,14 @@
 """Tests for constants, weight rounding, and the recursive weighted algorithm."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from gks.core import Instance, InvalidInputError, satisfies
-from gks.adversaries import evasive_next
+from gks.core import Instance, InvalidInputError, InvariantViolationError, satisfies
+from gks.adversaries import evasive_next, run_evasive
 from gks.weighted import (
     ConstantTable,
     WeightedAlgorithm,
@@ -16,13 +18,19 @@ from gks.weighted import (
 )
 
 
-def run_weighted(alg, steps, seed):
+def run_weighted(alg, steps, seed, after_serve=None):
     """Feed never-satisfied requests so every one of them counts."""
     rng = random.Random(seed)
     inst = alg.instance
     for _ in range(steps):
         alg.serve(evasive_next(inst, tuple(p % n for p, n in zip(alg.current, inst.sizes)), rng))
+        if after_serve is not None:
+            after_serve(alg)
     alg.finalize()
+
+
+def assert_current_is_level_positions(alg):
+    assert alg.current == tuple(level.pos for level in alg._levels)
 
 
 def test_constant_values():
@@ -215,3 +223,38 @@ def test_weighted_serve_moves_reported():
         moved_costs.add(step.cost)
     # every counted request pays the bottom weight; boundary moves add 12
     assert 1 in moved_costs and 13 in moved_costs
+
+
+@pytest.mark.parametrize("sizes, weights, table, steps", [
+    ([3, 3], [1, 7], None, 2 * 396 + 100),
+    ([3, 3, 3, 3], [1, 6, 60, 1080], ConstantTable({1: 2, 2: 4, 3: 8, 4: 16}), 2 * 4590 + 300),
+])
+def test_cached_configuration_matches_level_positions(sizes, weights, table, steps):
+    alg = WeightedAlgorithm(Instance.make(sizes, weights), table=table)
+    assert_current_is_level_positions(alg)
+    run_weighted(alg, steps, seed=6, after_serve=assert_current_is_level_positions)
+    assert alg._top.completed_phases >= 2
+    alg.serve((alg.current[0],) + (0,) * (len(sizes) - 1))
+    assert alg.filtered == 1
+    assert_current_is_level_positions(alg)
+
+
+def test_subphase_close_checks_actual_against_charged():
+    alg = WeightedAlgorithm(Instance.make([3, 3], [1, 7]))
+    run_weighted(alg, 5, seed=1)
+    # a cost paid but never charged: the level-2 subphase closes at 12
+    # charged, with more than that actually spent below
+    alg._levels[1].lower_actual += 12
+    with pytest.raises(InvariantViolationError, match="above its charged cost 12"):
+        run_weighted(alg, 12, seed=2)
+
+
+def test_three_level_report_pinned():
+    # sizes (3,4,4), weights (1,6,396), default constants: 101 complete
+    # level-2 phases, the level-3 phase still open
+    alg = WeightedAlgorithm(Instance.make([3, 4, 4], [1, 6, 396]))
+    run_evasive(alg, 20_000, seed=0)
+    report = json.dumps(alg.phase_report(), sort_keys=True)
+    assert hashlib.sha256(report.encode()).hexdigest() == \
+        "af74f49a952faaa592db66426584b88ae2dd3138a04347be2b133d31e12002e7"
+    assert alg.total_cost == 79388
