@@ -7,10 +7,10 @@ Three independent audit surfaces over concrete run data:
   triangular matrix with non-zero diagonal that factors through the
   polynomial's 2^k monomials (so the phase length is at most 2^k, with no
   numerical rank computation anywhere).  A certificate is its phase's
-  (state, request) rows and the matrix M they give; the factors A and B
-  are functions of those rows, built only when a file is written, and a
-  file's factors are checked by their structure, not by multiplying them
-  out (see `verify_certificate`);
+  (state, request) rows: the product vanishes exactly when the state meets
+  the request, so the matrix's shape is read off the rows with
+  `satisfies`, and the matrices M, A and B exist only in a written file,
+  whose entries are checked against the rows (see `verify_certificate`);
 * exact harmonic-sum potential accounting for the randomized algorithm's
   tracked distribution;
 * per-phase creation counts of the feasible family against the k!/d! caps.
@@ -94,14 +94,13 @@ def initial_potential(k: int) -> Fraction:
 
 @dataclass
 class PhaseCertificate:
-    """One phase's (state, request) rows and M[t][t'], the difference
-    product of state t and request t'.  The factors A and B are set only on
-    a certificate read from a file, as the file had them; for any other
-    certificate they exist only in the written file."""
+    """One phase's (state, request) rows.  The matrices M, A and B are set
+    only on a certificate read from a file, as the file had them; for any
+    other certificate they exist only in the written file."""
     k: int
     states: tuple[Config, ...]
     requests: tuple[Request, ...]
-    M: list[list[int]]
+    M: list[list[int]] | None = None
     A: list[list[int]] | None = None
     B: list[list[int]] | None = None
 
@@ -127,9 +126,9 @@ def forced_rows(steps: Iterable) -> list[tuple[Config, Request]]:
 
 
 def build_phase_matrix(rows: Sequence[tuple[Config, Request]], k: int) -> PhaseCertificate:
-    """Certificate for one phase of forced requests: its rows and M, where
-    M[t][t'] evaluates the difference product on state t and request t'.
-    The factors are not built here (see `write_certificate`)."""
+    """Certificate for one phase of forced requests: its rows, checked for
+    a non-empty phase within the 2^k ceiling and for arity k.  The matrices
+    are not built here (see `write_certificate`)."""
     ell = len(rows)
     if ell == 0:
         raise InvalidInputError("cannot certify an empty phase")
@@ -140,10 +139,8 @@ def build_phase_matrix(rows: Sequence[tuple[Config, Request]], k: int) -> PhaseC
     for q, r in rows:
         if len(q) != k or len(r) != k:
             raise InvalidInputError("row arity differs from k")
-    states = tuple(q for q, _ in rows)
-    requests = tuple(r for _, r in rows)
-    return PhaseCertificate(k=k, states=states, requests=requests,
-                            M=_difference_products(states, requests))
+    return PhaseCertificate(k=k, states=tuple(q for q, _ in rows),
+                            requests=tuple(r for _, r in rows))
 
 
 def _difference_products(states: Sequence[Config],
@@ -176,34 +173,32 @@ def verify_certificate(cert: PhaseCertificate) -> CertificateVerdicts:
     triangular matrix that factors through 2^k monomials cannot have more
     than 2^k rows.
 
-    One rule for every certificate: `factorization_ok` holds when M[t][t']
-    is the difference product of state q_t and request r_t'.  By the
-    binomial identity
+    M[t][t'] = prod_i (q_t,i - r_t',i) is zero exactly when state q_t
+    satisfies request r_t'.  So for every certificate, built or read, M is
+    upper triangular when each state satisfies every earlier request of
+    its phase, and its diagonal is non-zero when no state satisfies its
+    own request; no product is computed for either.  By the identity
 
         sum over S of prod_{i in S} q_i * prod_{i not in S} (-r_i)
             = prod_i (q_i - r_i),
 
-    M then equals A*B, where A's row t is the subset-product vector of q_t
-    (entry S is the product of q_t,i over i in S) and B's column t the
+    M = A*B, where A's row t is the subset-product vector of q_t (entry S
+    is the product of q_t,i over i in S) and B's column t the
     complement-product vector of r_t (entry S is the product of -r_t,i
-    over i outside S).  A certificate built in-process carries no factors:
-    they are built only when a file is written.  A certificate read from a
-    file carries the file's factors, and they must also equal those
-    vectors of its rows.  This costs O(l*2^k + l^2*k) against O(l^2*2^k)
-    for the product, and is stricter than M = A*B in one way: factors that
-    multiply to M but are not the monomial vectors of these states and
-    requests are rejected.
+    over i outside S).  A built certificate carries no matrices, and its
+    factorization holds by the identity.  One read from a file must carry
+    exactly these M, A and B of its rows: O(l*2^k + l^2*k) against
+    O(l^2*2^k) for the product, and stricter than M = A*B, since factors
+    that multiply to M but are not these monomial vectors fail.
     """
-    ell = cert.length
-    M = cert.M
-    triangular = all(M[t][tp] == 0 for t in range(ell) for tp in range(t))
-    diagonal = all(M[t][t] != 0 for t in range(ell))
-    factorization = (len(cert.requests) == ell
-                     and M == _difference_products(cert.states, cert.requests))
-    if cert.A is not None or cert.B is not None:
-        factorization = (factorization
-                         and cert.A == [_subset_products(q) for q in cert.states]
-                         and cert.B == _complement_columns(cert.requests))
+    states, requests = cert.states, cert.requests
+    triangular = all(satisfies(q, r) for t, q in enumerate(states)
+                     for r in requests[:t])
+    diagonal = not any(map(satisfies, states, requests))
+    factorization = (cert.M is None and cert.A is None and cert.B is None) or (
+        cert.M == _difference_products(states, requests)
+        and cert.A == [_subset_products(q) for q in states]
+        and cert.B == _complement_columns(requests))
     return CertificateVerdicts(triangular, diagonal, factorization)
 
 
@@ -336,7 +331,7 @@ def audit_family_counts(created_by_dim: Mapping[int, int], k: int) -> FamilyCoun
 def write_certificate(dest: Union[str, Path, IO[str]], instance: Instance,
                       cert: PhaseCertificate,
                       verdicts: CertificateVerdicts | None = None) -> None:
-    """Write M and the factors A and B, both built here from the rows.
+    """Write M, A and B, all built here from the rows.
 
     A has one row per state holding its coordinate product over every
     subset (ascending bitmask; bit i set means coordinate i belongs to the
@@ -348,7 +343,8 @@ def write_certificate(dest: Union[str, Path, IO[str]], instance: Instance,
         *header_lines(CERT_HEADER, instance),
         f"l={cert.length}",
         "M",
-        *(" ".join(map(str, row)) for row in cert.M),
+        *(" ".join(map(str, row))
+          for row in _difference_products(cert.states, cert.requests)),
         "A",
         *(" ".join(map(str, _subset_products(q))) for q in cert.states),
         "B",
@@ -368,7 +364,7 @@ def _positive_int(text: str) -> int:
 def read_certificate(src: Union[str, Path, IO[str]]) -> tuple[Instance, PhaseCertificate]:
     """Parse a certificate file; every matrix row is checked for its width.
 
-    The certificate keeps the file's factors; its states and requests are
+    The certificate keeps the file's matrices; its states and requests are
     read off them, q_t,i as A[t][1 << i] and r_t,i as -B[full ^ (1 << i)][t]
     with full = 2^k - 1."""
     lines = ContentLines(src)

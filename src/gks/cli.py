@@ -19,6 +19,7 @@ from pathlib import Path
 import click
 
 from .core import (
+    CertificateImpossibleError,
     GKSError,
     Instance,
     InvalidInputError,
@@ -64,7 +65,7 @@ def _guard(fn, *args, **kwargs):
         _fail(EXIT_INPUT, str(e))
     except ResourceLimitError as e:
         _fail(EXIT_RESOURCE, str(e))
-    except InvariantViolationError as e:
+    except (InvariantViolationError, CertificateImpossibleError) as e:
         _fail(EXIT_VIOLATION, str(e))
     except (InvalidInputError, GKSError) as e:
         _fail(EXIT_INPUT, str(e))

@@ -75,15 +75,20 @@ def monomial_expansion(q, r):
 
 
 def product_factorization_ok(cert):
-    """M = A*B, summed entry by entry over every subset; without factors,
-    every entry of M against the monomial expansion of its state and
-    request."""
+    """M = A*B, summed entry by entry over every subset (a certificate
+    read from a file)."""
     ell, M, A, B = cert.length, cert.M, cert.A, cert.B
-    if A is not None and B is not None:
-        return all(M[t][tp] == sum(A[t][s] * B[s][tp] for s in range(1 << cert.k))
-                   for t in range(ell) for tp in range(ell))
-    return all(M[t][tp] == monomial_expansion(cert.states[t], cert.requests[tp])
+    return all(M[t][tp] == sum(A[t][s] * B[s][tp] for s in range(1 << cert.k))
                for t in range(ell) for tp in range(ell))
+
+
+def matrix_verdicts(cert):
+    """(triangular, diagonal non-zero) read off M, with M built entry by
+    entry as the monomial expansion of each state and request."""
+    M = [[monomial_expansion(q, r) for r in cert.requests] for q in cert.states]
+    ell = len(M)
+    return (all(M[t][tp] == 0 for t in range(ell) for tp in range(t)),
+            all(M[t][t] != 0 for t in range(ell)))
 
 
 def exhaustive_feasible(sizes, requests):

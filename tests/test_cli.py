@@ -12,7 +12,7 @@ from gks.algorithms import read_transcript, transcript_lines
 from gks import certify, cli
 from gks.cli import exact_decimal, main
 from gks.certify import CertificateVerdicts, read_certificate, verify_certificate
-from gks.core import Instance, write_sequence
+from gks.core import CertificateImpossibleError, Instance, write_sequence
 
 
 @pytest.fixture
@@ -357,6 +357,30 @@ def test_certify_detects_corruption(runner, tmp_path):
     result = runner.invoke(main, ["certify", "--transcript", str(transcript)])
     assert result.exit_code == 2
     assert "VIOLATION" in result.output
+
+
+def test_overlong_phase_is_a_violation(runner, tmp_path, seq_file, monkeypatch):
+    # a complete k = 1 phase with three forced rows, one more than 2^1:
+    # no certificate can exist, which is a finding, not an input error
+    transcript = tmp_path / "long.tsv"
+    transcript.write_text(
+        "gks-transcript v1\nk=1\nsizes=5\nweights=1\n"
+        "1\t1\t1\t0\t1\t1\t1\t0\t1\n"
+        "2\t1\t2\t1\t2\t1\t1\t0\t1\n"
+        "3\t1\t3\t2\t3\t1\t1\t0\t1\n"
+        "4\t2\t4\t3\t4\t1\t1\t0\t1\n")
+    message = "error: phase has 3 forced requests, above the 2^1 = 2 ceiling"
+    result = runner.invoke(main, ["certify", "--transcript", str(transcript)])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith(message), result.stderr
+    # `gks run --certify` maps the same error to the same code
+    def overlong(rows, k):
+        raise CertificateImpossibleError("phase too long")
+    monkeypatch.setattr(certify, "build_phase_matrix", overlong)
+    result = runner.invoke(main, ["run", "--alg", "det", "--seq", str(seq_file),
+                                  "--certify"])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error: phase too long"), result.stderr
 
 
 def test_weighted_run_report(runner, tmp_path):

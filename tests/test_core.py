@@ -28,12 +28,7 @@ from gks.certify import (
     write_certificate,
 )
 
-from helpers import check_coords
-
-
-def poly_eval(q, r):
-    """The difference product, as a one-row certificate's only M entry."""
-    return build_phase_matrix([(q, r)], len(q)).M[0][0]
+from helpers import check_coords, monomial_expansion as poly_eval
 
 
 def test_satisfies_examples():
@@ -50,6 +45,8 @@ def test_poly_eval_examples():
 
 
 def test_satisfies_iff_poly_zero_exhaustive():
+    # the lemma behind certificate verdicts read off the rows: the
+    # difference product vanishes exactly when q satisfies r
     for k, n in [(1, 3), (2, 3), (3, 2), (3, 3)]:
         for q in itertools.product(range(n), repeat=k):
             for r in itertools.product(range(n), repeat=k):
