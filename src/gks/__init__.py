@@ -28,7 +28,7 @@ from .algorithms import (
     RandomizedAlgorithm,
     Step,
 )
-from .offline import opt_cost, work_function_layer, work_function_minima
+from .offline import opt_cost, work_function_minima
 from .adversaries import antipodal_next, evasive_next, run_closed_loop
 from .certify import (
     audit_family_counts,

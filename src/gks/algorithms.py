@@ -374,19 +374,24 @@ def replay_space_choices(steps: Sequence[TrackerStep], seed: int,
 # ---------------------------------------------------------------------------
 # Transcript files: one tab-separated row per request
 #   step  phase  request  pre  post  cost  |F|  m  |M|
+# Steps count 1, 2, ...; phases start at 1 and go up by one; costs are
+# non-negative.
 # ---------------------------------------------------------------------------
 
-def _fmt_tuple(t: Sequence[int]) -> str:
-    return ",".join(str(x) for x in t)
+class _PointTexts(dict):
+    """Point tuple -> its comma-separated text, formatted on first use."""
+
+    def __missing__(self, point: Config) -> str:
+        text = self[point] = ",".join(map(str, point))
+        return text
 
 
 def transcript_lines(steps: Iterable[Step]) -> Iterator[str]:
+    text = _PointTexts()
     for s in steps:
-        yield "\t".join((
-            str(s.index), str(s.phase), _fmt_tuple(s.request), _fmt_tuple(s.pre),
-            _fmt_tuple(s.post), format_fraction(s.cost), str(s.family_size),
-            str(s.max_dim), str(s.max_count),
-        ))
+        cost = s.cost if type(s.cost) is int else format_fraction(s.cost)
+        yield (f"{s.index}\t{s.phase}\t{text[s.request]}\t{text[s.pre]}\t{text[s.post]}\t"
+               f"{cost}\t{s.family_size}\t{s.max_dim}\t{s.max_count}")
 
 
 def write_transcript(dest: Union[str, Path, IO[str]], instance: Instance,
@@ -414,37 +419,40 @@ def _read_state(instance: Instance, text: str, lineno: int, what: str) -> Config
 
 def read_transcript(src: Union[str, Path, IO[str]]) -> tuple[Instance, list[Step]]:
     """Parse a transcript; requests are checked against the header's
-    instance, pre- and post-states only for width and sign."""
+    instance, pre- and post-states only for width and sign, and rows for the
+    order above.  Each distinct request or state text is parsed once."""
     lines = ContentLines(src)
     instance = read_header(lines, TRANSCRIPT_HEADER)
     steps: list[Step] = []
     prev_phase = 0
-    points: dict[tuple[str, bool], Config] = {}  # (text, is a state) -> tuple, checked once
+    reqs: dict[str, Request] = {}  # text -> point, each parsed where it first occurs
+    states: dict[str, Config] = {}
     for lineno, line in lines:
         parts = line.split("\t")
         if len(parts) != 9:
             raise SequenceFormatError(f"expected 9 tab-separated fields, got {len(parts)}", lineno)
-        row = []
-        for i, text in enumerate(parts[2:5]):
-            point = points.get((text, i > 0))
-            if point is None:
-                read = _read_state if i else parse_point
-                what = ("request", "pre-state", "post-state")[i]
-                point = points[text, i > 0] = read(instance, text, lineno, what)
-            row.append(point)
-        request, pre, post = row
+        i, p, r, a, b, c, f, m, mc = parts
+        request = reqs.get(r) or reqs.setdefault(r, parse_point(instance, r, lineno))
+        pre = states.get(a) or states.setdefault(a, _read_state(instance, a, lineno, "pre-state"))
+        post = states.get(b) or states.setdefault(b, _read_state(instance, b, lineno, "post-state"))
         try:
-            index, phase = parse_int(parts[0]), parse_int(parts[1])
-            cost = parse_fraction(parts[5])
-            fam_size, max_dim, max_count = map(parse_int, parts[6:])
+            index, phase = parse_int(i), parse_int(p)
+            cost: Union[int, Fraction] = int(c) if c.isdecimal() else parse_fraction(c)
+            fam_size, max_dim, max_count = map(parse_int, (f, m, mc))
         except InvalidInputError as e:
             raise SequenceFormatError(str(e), lineno) from e
-        cost_val: Union[int, Fraction] = int(cost) if cost.denominator == 1 else cost
-        steps.append(Step(
-            index=index, phase=phase, request=request, pre=pre, post=post,
-            cost=cost_val, family_size=fam_size, max_dim=max_dim, max_count=max_count,
-            moved=pre != post, shrunk=False, phase_start=phase != prev_phase,
-        ))
+        if cost.denominator == 1:
+            cost = int(cost)
+        if index != len(steps) + 1:
+            raise SequenceFormatError(
+                f"step {index} follows step {len(steps)}; steps count up from 1", lineno)
+        if phase < 1 or not prev_phase <= phase <= prev_phase + 1:
+            raise SequenceFormatError(
+                f"phase {phase} follows phase {prev_phase}; phases count up from 1", lineno)
+        if cost < 0:
+            raise SequenceFormatError(f"negative cost {format_fraction(cost)}", lineno)
+        steps.append(Step(index, phase, request, pre, post, cost, fam_size, max_dim, max_count,
+                          pre != post, False, phase != prev_phase))
         prev_phase = phase
     return instance, steps
 

@@ -279,7 +279,15 @@ def write_sequence(dest: Union[str, Path, IO[str]], instance: Instance,
 
 
 def read_sequence(src: Union[str, Path, IO[str]]) -> tuple[Instance, list[Request]]:
-    """Parse a sequence file: the header, then one request per line."""
+    """Parse a sequence file: the header, then one request per line.  Each
+    distinct text is parsed once, where it first occurs."""
     lines = ContentLines(src)
     instance = read_header(lines, SEQ_HEADER)
-    return instance, [parse_point(instance, line, lineno) for lineno, line in lines]
+    points: dict[str, Request] = {}
+    requests = []
+    for lineno, line in lines:
+        r = points.get(line)
+        if r is None:
+            r = points[line] = parse_point(instance, line, lineno)
+        requests.append(r)
+    return instance, requests

@@ -23,9 +23,9 @@ of exact Python ints and results come back as Fraction(value, scale).
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .core import Config, Instance, Request, ResourceLimitError
@@ -66,24 +66,30 @@ def _layers(instance: Instance, start: Config, requests: Sequence[Request],
     values = [0]
     for n, w, x in zip(sizes, weights, start):
         values = [v + (0 if y == x else w) for v in values for y in range(n)]
+    # per axis, the offsets -(n-1)s .. -s, s .. (n-1)s: the n - 1 of them from
+    # -x·s on lead from point x to the axis's other points.  Repeated once per
+    # box cell inside the axis and tiled once per cell outside it, that window
+    # is each box cell's offset along the axis in box order, undone to read
+    # the serving cell with qᵢ ← rᵢ.
+    axes = []
+    outer, inner = 1, math.prod(n - 1 for n in sizes)
+    for n, s in zip(sizes, strides):
+        inner //= n - 1
+        offsets = [d * s for d in range(1 - n, n) if d]
+        axes.append((offsets, [d for d in offsets for _ in range(inner)], n - 1, inner, outer))
+        outer *= n - 1
+
     yield 0, values, scale
     for t, r in enumerate(requests, start=1):
         instance.check_coords(r)
-        # shifts[i]: the index offset from rᵢ to every other point of axis i
-        shifts = [[(y - x) * s for y in range(n) if y != x]
-                  for n, s, x in zip(sizes, strides, r)]
-        box = [sum(x * s for x, s in zip(r, strides))]
-        for shift in shifts:
+        box = [sum(map(mul, r, strides))]
+        backs = []
+        for (offsets, repeated, m, inner, outer), x in zip(axes, r):
+            shift = offsets[m - x:2 * m - x]
             box = [c + d for c in box for d in shift]
-        # per axis j, each box cell's shift along j in box order, undone to
-        # read the serving cell with qⱼ ← rⱼ
-        candidates = []
-        outer = 1
-        for shift, w in zip(shifts, weights):
-            inner = len(box) // (outer * len(shift))
-            back = [d for d in shift for _ in range(inner)] * outer
-            candidates.append([values[c - d] + w for c, d in zip(box, back)])
-            outer *= len(shift)
+            backs.append(repeated[(m - x) * inner:(2 * m - x) * inner] * outer)
+        candidates = [[values[c - d] + w for c, d in zip(box, back)]
+                      for back, w in zip(backs, weights)]
         for c, v in zip(box, map(min, zip(*candidates))):
             values[c] = v
         yield t, values, scale
@@ -99,21 +105,6 @@ def opt_cost(instance: Instance, start: Sequence[int], requests: Sequence[Reques
     for _, values, scale in _layers(instance, start, requests, state_cap, work_cap):
         pass
     return Fraction(min(values), scale)
-
-
-def work_function_layer(instance: Instance, start: Sequence[int],
-                        requests: Sequence[Request], t: int,
-                        *, state_cap: int = DEFAULT_STATE_CAP,
-                        work_cap: int = DEFAULT_WORK_CAP) -> dict[Config, Fraction]:
-    """The full layer-t table, mapping every configuration to its exact cost."""
-    start = tuple(start)
-    if not 0 <= t <= len(requests):
-        raise ResourceLimitError(f"layer {t} outside [0, {len(requests)}]")
-    for layer_t, values, scale in _layers(instance, start, requests[:t], state_cap, work_cap):
-        if layer_t == t:
-            configs = itertools.product(*map(range, instance.sizes))
-            return {q: Fraction(v, scale) for q, v in zip(configs, values)}
-    raise AssertionError("unreachable")
 
 
 def work_function_minima(instance: Instance, start: Sequence[int],

@@ -1,10 +1,27 @@
-"""Independent oracles for the test suite, kept deliberately naive, and two
-builders of the program's own feasible family."""
+"""Independent oracles for the test suite, kept deliberately naive, two
+builders of the program's own feasible family, and the text-file readers and
+writers that the program's per-call caches replaced."""
 
 import itertools
+from fractions import Fraction
 
-from gks.algorithms import next_family
-from gks.core import Instance, InvalidInputError, satisfies, weighted_distance
+from gks.algorithms import TRANSCRIPT_HEADER, Step, next_family
+from gks.core import (
+    SEQ_HEADER,
+    ContentLines,
+    Instance,
+    InvalidInputError,
+    SequenceFormatError,
+    format_fraction,
+    parse_fraction,
+    parse_int,
+    parse_ints,
+    parse_point,
+    read_header,
+    satisfies,
+    weighted_distance,
+)
+from gks.offline import _layers
 from gks.spaces import FeasibleFamily
 
 
@@ -60,6 +77,17 @@ def naive_layers(instance: Instance, start, requests):
                  for q in configs}
         layers.append(layer)
     return layers
+
+
+def work_function_layer(instance: Instance, start, requests, t,
+                        state_cap=10_000, work_cap=50_000_000):
+    """The program's layer-t table as a dict from configuration to exact cost."""
+    if not 0 <= t <= len(requests):
+        raise ValueError(f"layer {t} outside [0, {len(requests)}]")
+    for layer_t, values, scale in _layers(instance, tuple(start), requests[:t],
+                                          state_cap, work_cap):
+        if layer_t == t:
+            return {q: Fraction(v, scale) for q, v in zip(all_configs(instance.sizes), values)}
 
 
 def monomial_expansion(q, r):
@@ -192,3 +220,65 @@ class NaiveFamily:
         members = [tuple(x if v is None else v for v, x in zip(p, current))
                    for p in self.alive]
         return min(members, key=lambda q: (sum(a != b for a, b in zip(q, current)), q))
+
+
+# Text files, read and written line by line and field by field, with every
+# point parsed or formatted where it stands.
+
+def read_sequence(src):
+    lines = ContentLines(src)
+    instance = read_header(lines, SEQ_HEADER)
+    return instance, [parse_point(instance, line, lineno) for lineno, line in lines]
+
+
+def _fmt_tuple(t):
+    return ",".join(str(x) for x in t)
+
+
+def transcript_lines(steps):
+    for s in steps:
+        yield "\t".join((
+            str(s.index), str(s.phase), _fmt_tuple(s.request), _fmt_tuple(s.pre),
+            _fmt_tuple(s.post), format_fraction(s.cost), str(s.family_size),
+            str(s.max_dim), str(s.max_count),
+        ))
+
+
+def _read_state(instance, text, lineno, what):
+    try:
+        state = parse_ints(text)
+    except InvalidInputError as e:
+        raise SequenceFormatError(str(e), lineno) from e
+    if len(state) != instance.k or min(state) < 0:
+        raise SequenceFormatError(
+            f"{what} {text!r} is not {instance.k} non-negative indices", lineno)
+    return state
+
+
+def read_transcript(src):
+    """A transcript's rows, each taken at its word: no order checks."""
+    lines = ContentLines(src)
+    instance = read_header(lines, TRANSCRIPT_HEADER)
+    steps = []
+    prev_phase = 0
+    for lineno, line in lines:
+        parts = line.split("\t")
+        if len(parts) != 9:
+            raise SequenceFormatError(f"expected 9 tab-separated fields, got {len(parts)}", lineno)
+        request = parse_point(instance, parts[2], lineno)
+        pre = _read_state(instance, parts[3], lineno, "pre-state")
+        post = _read_state(instance, parts[4], lineno, "post-state")
+        try:
+            index, phase = parse_int(parts[0]), parse_int(parts[1])
+            cost = parse_fraction(parts[5])
+            fam_size, max_dim, max_count = map(parse_int, parts[6:])
+        except InvalidInputError as e:
+            raise SequenceFormatError(str(e), lineno) from e
+        steps.append(Step(
+            index=index, phase=phase, request=request, pre=pre, post=post,
+            cost=int(cost) if cost.denominator == 1 else cost, family_size=fam_size,
+            max_dim=max_dim, max_count=max_count,
+            moved=pre != post, shrunk=False, phase_start=phase != prev_phase,
+        ))
+        prev_phase = phase
+    return instance, steps

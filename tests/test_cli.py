@@ -383,6 +383,24 @@ def test_overlong_phase_is_a_violation(runner, tmp_path, seq_file, monkeypatch):
     assert result.stderr.startswith("error: phase too long"), result.stderr
 
 
+K1_HEAD = "gks-transcript v1\nk=1\nsizes=5\nweights=1\n"
+
+
+@pytest.mark.parametrize("rows, line", [
+    # phases 1, 2, 1, 3: grouping by phase would certify rows 1 and 3 together
+    ([(1, 1, 1), (2, 2, 1), (3, 1, 1), (4, 3, 1)], 7),
+    ([(7, 1, 1), (2, 1, 1)], 5),
+    ([(1, 1, 1), (2, 1, -3)], 6),
+])
+def test_rows_out_of_order_are_input_errors(runner, tmp_path, rows, line):
+    transcript = tmp_path / "t.tsv"
+    transcript.write_text(K1_HEAD + "".join(
+        f"{step}\t{phase}\t{step % 5}\t{(step - 1) % 5}\t{step % 5}\t{cost}\t1\t0\t1\n"
+        for step, phase, cost in rows))
+    result = runner.invoke(main, ["certify", "--transcript", str(transcript)])
+    assert_input_error(result, f"line {line}: ")
+
+
 def test_weighted_run_report(runner, tmp_path):
     inst = Instance.make([2, 2], [1, 7])
     path = tmp_path / "w.gks"

@@ -218,6 +218,12 @@ CERT = ("gks-cert v1\nk=1\nsizes=5\nweights=1\nl=2\n"
     (read_transcript, TSV_ROWS.replace("3\t1\t1,1,1\t0,0,0", "3\t1\t1,1,1\t-1,0,0"), 8),
     (read_transcript, TSV_ROWS.replace("3\t1\t1,1,1\t0,0,0\t1,0,0", "3\t1\t1,1,1\t0,0,0\t1,0"),
      8),
+    (read_transcript, TSV_ROWS.replace("3\t1\t1,1,1", "7\t1\t1,1,1", 1), 8),
+    (read_transcript, TSV_ROWS.replace("3\t1\t1,1,1", "3\t2\t1,1,1", 1), 9),
+    (read_transcript, TSV_ROWS.replace("3\t1\t1,1,1", "3\t3\t1,1,1", 1), 8),
+    (read_transcript, TSV_ROWS.replace("1\t1\t1,1,1", "1\t0\t1,1,1", 1), 6),
+    (read_transcript, TSV_ROWS.replace(ROW.format(3), ROW.format(3).replace("\t1\t3", "\t-3\t3"), 1),
+     8),
     (read_certificate, CERT, None),
     (read_certificate, CERT[:CERT.index("l=")], 5),
     (read_certificate, CERT.replace("k=1", "k=x"), 2),
@@ -228,7 +234,8 @@ CERT = ("gks-cert v1\nk=1\nsizes=5\nweights=1\nl=2\n"
     (read_certificate, CERT + "5 5\n", 15),
     (read_certificate, CERT[:CERT.index("B")], 12),
 ], ids=["tsv-ok", "tsv-eof", "tsv-k", "tsv-range", "tsv-fields", "tsv-cost",
-        "tsv-virtual-state", "tsv-negative-state", "tsv-state-width",
+        "tsv-virtual-state", "tsv-negative-state", "tsv-state-width", "tsv-step-order",
+        "tsv-phase-back", "tsv-phase-skip", "tsv-phase-zero", "tsv-negative-cost",
         "cert-ok", "cert-eof", "cert-k", "cert-l", "cert-width", "cert-int", "cert-label",
         "cert-trailing", "cert-no-b"])
 def test_transcript_and_certificate_errors_carry_line_numbers(reader, text, line):
@@ -285,16 +292,21 @@ def mutated_files(draw):
     ))
     mutated = lines[:i] + new + lines[i + 1:]
     own_line = i + 1 if len(new) == 1 and i in rows else None
-    return reader, "\n".join(mutated) + "\n", own_line
+    next_row = next((j + 1 for j in rows if j > i), None)
+    return reader, "\n".join(mutated) + "\n", own_line, next_row
 
 
 @settings(max_examples=400, deadline=None)
 @given(mutated_files())
 def test_mutated_files_parse_or_report_their_line(case):
-    reader, text, own_line = case
+    reader, text, own_line, next_row = case
     try:
         reader(io.StringIO(text))
     except SequenceFormatError as e:
         assert 1 <= e.line <= len(text.splitlines()) + 1, (e, text)
         if own_line is not None:
-            assert e.line == own_line, (e, text)
+            # transcript rows must count steps and phases up: a row blanked,
+            # commented out or moved to the next phase passes, and the row
+            # after it is the first out of order
+            assert e.line == own_line or (e.line == next_row and reader is read_transcript
+                                          and "follows" in str(e)), (e, text)

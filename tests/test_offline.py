@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from gks.core import Instance, InvalidInputError, ResourceLimitError, weighted_distance
 from gks.algorithms import GenericAlgorithm
 from gks.adversaries import random_sequence
-from gks.offline import opt_cost, work_function_layer, work_function_minima
+from gks.offline import opt_cost, work_function_minima
 
-from helpers import all_configs, brute_force_opt, naive_layers
+from helpers import all_configs, brute_force_opt, naive_layers, work_function_layer
 
 
 def test_single_request_example():
