@@ -85,7 +85,6 @@ class ClosedLoopResult:
     round_lengths: list[int]
     algorithm_cost: int
     adversary_model: str   # "deterministic" or "oblivious-invalid"
-    visited_per_round: int
 
 
 def run_closed_loop(algorithm, rounds: int, *, step_cap: int | None = None) -> ClosedLoopResult:
@@ -132,5 +131,4 @@ def run_closed_loop(algorithm, rounds: int, *, step_cap: int | None = None) -> C
         round_lengths=round_lengths,
         algorithm_cost=algorithm.total_cost,
         adversary_model=model,
-        visited_per_round=target,
     )

@@ -222,7 +222,16 @@ class ContentLines:
     """
 
     def __init__(self, src: Union[str, Path, IO[str]]):
-        text = src.read() if hasattr(src, "read") else Path(src).read_text()
+        if hasattr(src, "read"):
+            text = src.read()
+        else:
+            data = Path(src).read_bytes()
+            try:
+                text = data.decode("utf-8")
+            except UnicodeDecodeError as e:
+                # the bad byte's line, numbered as splitlines numbers them
+                line = len((data[:e.start].decode("utf-8") + "x").splitlines())
+                raise SequenceFormatError("file is not UTF-8 text", line) from None
         raw = text.splitlines()
         self.end = len(raw) + 1  # where a missing line would have stood
         self._lines = ((n, s) for n, s in enumerate((r.strip() for r in raw), start=1)

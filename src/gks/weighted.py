@@ -16,7 +16,7 @@ undercounts actual.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -128,29 +128,31 @@ def learning_topk(counts: Mapping[int, int], c: int, n_points: int) -> list[int]
 
 @dataclass
 class LevelPhaseRecord:
-    """Anatomy of one complete phase at one level (levels 2 and up)."""
+    """Anatomy of one phase at one level (levels 2 and up), filled in as its
+    subphases close; the last three fields are set when the phase completes."""
 
     level: int
     index: int                      # 1-based among the level's phases
-    subphases: int
-    requests: tuple[int, ...]       # counted requests per subphase
-    lower_actual: tuple[int, ...]   # below-level cost actually paid, per subphase
-    lower_charged: tuple[int, ...]  # below-level cost at charged prices, per subphase
-    moves: tuple[tuple[int, int], ...]   # (target point, actual cost) per boundary
-    pool: tuple[int, ...]
-    fraction_ok: bool               # every point has a subphase with <= 1/c of requests
-    point_counts: tuple[dict, ...] | None
-    total_requests: int
-    phase_cost_actual: int          # lower actual + own boundary moves
+    requests: list[int] = field(default_factory=list)       # counted, per subphase
+    lower_actual: list[int] = field(default_factory=list)   # paid below, per subphase
+    lower_charged: list[int] = field(default_factory=list)  # charged below, per subphase
+    moves: list[tuple[int, int]] = field(default_factory=list)  # (target, actual cost)
+    pool: list[int] | None = None   # the tour, ranked at the first subphase's close
+    point_counts: list[dict] | None = field(default_factory=list)
+    fraction_ok: bool = False       # every point has a subphase with <= 1/c of requests
+    total_requests: int = 0
+    phase_cost_actual: int = 0      # lower actual + own boundary moves
+
+    @property
+    def subphases(self) -> int:
+        return len(self.requests)
 
 
 class _Level:
     __slots__ = (
-        "i", "w", "c", "m", "n_real", "pos", "opened",
-        "completed_subphases", "lower_phases", "req_in_subphase",
-        "counts", "pool", "pool_pos", "lower_actual", "lower_charged",
-        "subph_requests", "subph_lower_actual", "subph_lower_charged",
-        "subph_counts", "moves", "completed_phases", "phase_records",
+        "i", "w", "c", "m", "n_real", "pos", "opened", "lower_phases",
+        "req_in_subphase", "counts", "lower_actual", "lower_charged", "record",
+        "completed_phases", "phase_records",
     )
 
     def __init__(self, i: int, w: int, c: int, m: int, n_real: int, pos: int):
@@ -164,17 +166,14 @@ class _Level:
         self.phase_records: list[LevelPhaseRecord] = []
         self._reset_phase()
 
+    @property
+    def completed_subphases(self) -> int:
+        return len(self.record.requests)
+
     def _reset_phase(self):
         self.opened = False
-        self.completed_subphases = 0
         self.lower_phases = 0
-        self.pool = None
-        self.pool_pos = 0
-        self.moves = []
-        self.subph_requests = []
-        self.subph_lower_actual = []
-        self.subph_lower_charged = []
-        self.subph_counts = []
+        self.record = LevelPhaseRecord(self.i, self.completed_phases + 1)
         self._reset_subphase()
 
     def _reset_subphase(self):
@@ -225,9 +224,8 @@ class WeightedAlgorithm:
         self.counted = 0
         self.transcript: list[Step] | None = [] if keep_transcript else None
         self.phase_summaries: list[PhaseSummary] = []
+        self._summary: PhaseSummary | None = None  # the open top-level phase's
         self._step_index = 0
-        self._reset_top_counts()
-        self._finalized = False
 
     # -- public surface -----------------------------------------------------
 
@@ -244,10 +242,13 @@ class WeightedAlgorithm:
         pre = self._current
         self._step_index += 1
         top_phase = self._top.completed_phases + 1
+        summary = self._summary
+        if summary is None:
+            summary = self._summary = PhaseSummary(top_phase)
+            self.phase_summaries.append(summary)
 
         if satisfies(pre, r):
             self.filtered += 1
-            self._top_filtered += 1
             step = Step(index=self._step_index, phase=top_phase, request=r, pre=pre,
                         post=pre, cost=0, family_size=0, max_dim=0, max_count=0,
                         moved=False, shrunk=False, phase_start=False)
@@ -256,8 +257,8 @@ class WeightedAlgorithm:
             return step
 
         self.counted += 1
-        phase_start = self._top_requests == 0
-        self._top_requests += 1
+        phase_start = summary.requests == 0
+        summary.requests += 1
 
         lvl1 = self._lvl1
         if lvl1.pos == r[0]:
@@ -296,13 +297,14 @@ class WeightedAlgorithm:
         step = Step(index=self._step_index, phase=top_phase, request=r, pre=pre,
                     post=post, cost=cost, family_size=0, max_dim=0, max_count=0,
                     moved=moved, shrunk=False, phase_start=phase_start)
-        self._top_moves += moved
-        self._top_cost += cost
+        summary.moves += moved
+        summary.cost += cost
         if self.transcript is not None:
             self.transcript.append(step)
         if self._top.completed_phases == top_phase:
             # the top level completed its phase on this request
-            self._emit_top_summary(top_phase, complete=True)
+            summary.complete = True
+            self._summary = None
         return step
 
     def run(self, requests) -> list[Step]:
@@ -311,11 +313,7 @@ class WeightedAlgorithm:
         return steps
 
     def finalize(self) -> None:
-        if not self._finalized:
-            # moves and cost accrue only with counted requests
-            if self._top_requests or self._top_filtered:
-                self._emit_top_summary(self.phase, complete=False)
-            self._finalized = True
+        """Nothing to close: the open phase's summary is counted as it runs."""
 
     # -- internals ----------------------------------------------------------
 
@@ -346,26 +344,23 @@ class WeightedAlgorithm:
                 f"level {i} subphase closed at actual cost {level.lower_actual}, "
                 f"above its charged cost {level.lower_charged}"
             )
-        level.subph_requests.append(level.req_in_subphase)
-        level.subph_lower_actual.append(level.lower_actual)
-        level.subph_lower_charged.append(level.lower_charged)
-        level.subph_counts.append(level.counts)
-        level.completed_subphases += 1
-
-        if level.completed_subphases == 1:
-            level.pool = learning_topk(level.counts, level.c, level.n_real)
-            level.pool_pos = 0
+        rec = level.record
+        rec.requests.append(level.req_in_subphase)
+        rec.lower_actual.append(level.lower_actual)
+        rec.lower_charged.append(level.lower_charged)
+        rec.point_counts.append(level.counts)
+        if rec.pool is None:
+            rec.pool = learning_topk(level.counts, level.c, level.n_real)
         level._reset_subphase()
 
-        if level.completed_subphases == level.c + 1:
+        if len(rec.requests) == level.c + 1:
             self._finish_level_phase(level)
             return self._cascade(i + 1)
 
         # tour the next unvisited pool point
-        target = level.pool[level.pool_pos]
-        level.pool_pos += 1
+        target = rec.pool[len(rec.moves)]
         actual = level.w if target != level.pos else 0
-        level.moves.append((target, actual))
+        rec.moves.append((target, actual))
         level.pos = target
         if actual:
             self.total_cost += actual
@@ -373,53 +368,30 @@ class WeightedAlgorithm:
         return actual
 
     def _finish_level_phase(self, level: _Level) -> None:
-        requests = tuple(level.subph_requests)
+        rec = level.record
+        requests = rec.requests
         if len(set(requests)) > 1:
             raise InvariantViolationError(
                 f"level {level.i} subphases served unequal request counts {requests}"
             )
-        visited = [t for t, _ in level.moves]
+        visited = [t for t, _ in rec.moves]
         if len(visited) != level.c or len(set(visited)) != level.c:
             raise InvariantViolationError(
                 f"level {level.i} toured {len(visited)} points "
                 f"({len(set(visited))} distinct), expected {level.c} distinct"
             )
-        fraction_ok = all(
+        rec.fraction_ok = all(
             any(counts.get(p, 0) * level.c <= nreq
-                for counts, nreq in zip(level.subph_counts, requests))
+                for counts, nreq in zip(rec.point_counts, requests))
             for p in range(level.n_real)
         )
-        record = LevelPhaseRecord(
-            level=level.i,
-            index=level.completed_phases + 1,
-            subphases=level.completed_subphases,
-            requests=requests,
-            lower_actual=tuple(level.subph_lower_actual),
-            lower_charged=tuple(level.subph_lower_charged),
-            moves=tuple(level.moves),
-            pool=tuple(level.pool),
-            fraction_ok=fraction_ok,
-            point_counts=tuple(level.subph_counts) if self.record_point_counts else None,
-            total_requests=sum(requests),
-            phase_cost_actual=sum(level.subph_lower_actual) + sum(a for _, a in level.moves),
-        )
-        level.phase_records.append(record)
+        rec.total_requests = sum(requests)
+        rec.phase_cost_actual = sum(rec.lower_actual) + sum(a for _, a in rec.moves)
+        if not self.record_point_counts:
+            rec.point_counts = None
+        level.phase_records.append(rec)
         level.completed_phases += 1
         level._reset_phase()
-
-    def _reset_top_counts(self) -> None:
-        self._top_requests = 0
-        self._top_moves = 0
-        self._top_cost = 0
-        self._top_filtered = 0
-
-    def _emit_top_summary(self, phase: int, complete: bool) -> None:
-        self.phase_summaries.append(PhaseSummary(
-            phase=phase, requests=self._top_requests, moves=self._top_moves,
-            shrinks=0, cost=self._top_cost, complete=complete,
-            created_by_dim={}, duplicate_creations=0, adopted_spaces=None,
-        ))
-        self._reset_top_counts()
 
     # -- reporting ----------------------------------------------------------
 

@@ -441,3 +441,19 @@ def test_certify_refuses_weighted_transcript(runner, tmp_path):
     assert_input_error(refused, "certificates apply to the uniform algorithms")
     inline = runner.invoke(main, WEIGHTED_EVASIVE + ["--certify"])
     assert_input_error(inline, "certificates apply to the uniform algorithms")
+
+
+def test_non_utf8_inputs_exit_1_at_their_line(runner, seq_file, tmp_path):
+    lines = seq_file.read_bytes().splitlines()
+    bad_seq = tmp_path / "bad.gks"
+    bad_seq.write_bytes(b"\n".join(lines[:4] + [b"\xff\xfe"] + lines[5:]) + b"\n")
+    assert_input_error(runner.invoke(main, ["run", "--alg", "det", "--seq", str(bad_seq)]),
+                       "line 5: file is not UTF-8 text")
+    transcript = tmp_path / "t.tsv"
+    result = runner.invoke(main, ["run", "--alg", "det", "--seq", str(seq_file),
+                                  "--transcript-out", str(transcript)])
+    assert result.exit_code == 0, result.output
+    lines = transcript.read_bytes().splitlines()
+    transcript.write_bytes(b"\n".join(lines[:6] + [b"3\t1\t\xff"] + lines[7:]) + b"\n")
+    assert_input_error(runner.invoke(main, ["certify", "--transcript", str(transcript)]),
+                       "line 7: file is not UTF-8 text")

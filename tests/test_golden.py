@@ -8,6 +8,7 @@ determinism contract and must be deliberate.
 
 import hashlib
 import io
+import json
 import re
 
 import pytest
@@ -26,6 +27,7 @@ from gks.algorithms import (
 from gks.certify import certify_transcript, write_certificate
 from gks.cli import main
 from gks.core import Instance, write_sequence
+from gks.weighted import ConstantTable, WeightedAlgorithm
 
 WALL_LINE = re.compile(r'^\s*"wall_clock_sec": .*\n', re.MULTILINE)
 
@@ -145,3 +147,23 @@ def test_unequal_sizes_transcripts_and_tracker():
         text.extend(map(repr, trace))
         text.append(repr(replay_space_choices(trace, 3, (0,) * len(sizes))))
     assert sha("\n".join(text)) == "888295ff83051b93ac37476e3fbec6cc7354ef96db3ef3be61e91cf767f9ebeb"
+
+
+def test_weighted_records():
+    """Weighted phase summaries, phase report and transcript under random
+    traffic, whose satisfied requests are filtered."""
+    text = []
+    for sizes, weights, kw, steps in (
+        ([3], [1], {}, 200),
+        ([3, 3], [1, 7], {}, 3000),
+        ([2, 2, 2], [1, 6, 60], dict(table=ConstantTable({1: 2, 2: 4, 3: 8}),
+                                     record_point_counts=False), 3000),
+    ):
+        inst = Instance.make(sizes, weights)
+        alg = WeightedAlgorithm(inst, **kw)
+        alg.run(random_sequence(inst, steps, seed=len(sizes)))
+        assert alg.filtered
+        text.append(repr(alg.phase_summaries))
+        text.append(json.dumps(alg.phase_report(), sort_keys=True))
+        text.extend(transcript_lines(alg.transcript))
+    assert sha("\n".join(text)) == "1cb969cf7adba651421bfce2b3acd3fc9008799c0dcc5ec7a1a183c7124e9dd3"

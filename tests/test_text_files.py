@@ -14,6 +14,7 @@ import helpers
 from gks.adversaries import random_sequence, run_evasive
 from gks.algorithms import ALGORITHMS, RandomizedAlgorithm, read_transcript, transcript_lines, \
     write_transcript
+from gks.certify import certify_transcript, read_certificate, write_certificate
 from gks.core import Instance, SequenceFormatError, read_sequence, write_sequence
 from gks.weighted import WeightedAlgorithm
 
@@ -171,3 +172,30 @@ def test_write_sequence_takes_points_of_any_sequence_type():
     out = io.StringIO()
     write_sequence(out, Instance.uniform(2, 2), [[0, 1], (1, 0), range(2)])
     assert out.getvalue().splitlines()[4:] == ["0,1", "1,0", "0,1"]
+
+
+def file_texts():
+    """A sequence, a transcript and a certificate of one small run."""
+    inst, steps = make_run("det", (2, 2), 12, 3)
+    cert_text = io.StringIO()
+    _, cert, verdicts = next(iter(certify_transcript(inst, steps)))
+    write_certificate(cert_text, inst, cert, verdicts)
+    seq_text = io.StringIO()
+    write_sequence(seq_text, inst, [s.request for s in steps])
+    return {read_sequence: seq_text.getvalue(), read_transcript: transcript_text(inst, steps),
+            read_certificate: cert_text.getvalue()}
+
+
+@pytest.mark.parametrize("reader", [read_sequence, read_transcript, read_certificate],
+                         ids=["sequence", "transcript", "certificate"])
+@pytest.mark.parametrize("bad, newline, line", [
+    (b"\xff\xfe", b"\n", 5),
+    (b"0,\xe2\x82", b"\n", 6),      # a multi-byte character cut short
+    (b"\xff\xfe", b"\r\n", 7),
+])
+def test_non_utf8_file_is_a_format_error_at_its_line(tmp_path, reader, bad, newline, line):
+    lines = file_texts()[reader].encode().splitlines()
+    path = tmp_path / "bad.txt"
+    path.write_bytes(newline.join(lines[:line - 1] + [bad] + lines[line:]) + newline)
+    with pytest.raises(SequenceFormatError, match=f"^line {line}: file is not UTF-8 text$"):
+        reader(path)

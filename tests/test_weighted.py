@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from gks.algorithms import ALGORITHMS, RandomizedAlgorithm
 from gks.core import Instance, InvalidInputError, InvariantViolationError, satisfies
 from gks.adversaries import evasive_next, run_evasive
 from gks.weighted import (
@@ -258,3 +259,27 @@ def test_three_level_report_pinned():
     assert hashlib.sha256(report.encode()).hexdigest() == \
         "af74f49a952faaa592db66426584b88ae2dd3138a04347be2b133d31e12002e7"
     assert alg.total_cost == 79388
+
+
+@pytest.mark.parametrize("alg_id, sizes", [
+    ("det", [3, 3]), ("alt", [3, 3]), ("rand", [3, 3]),
+    ("weighted", [3]), ("weighted", [3, 3]),
+])
+def test_serving_after_finalize_keeps_one_summary_per_phase(alg_id, sizes):
+    if alg_id == "weighted":
+        alg = WeightedAlgorithm(Instance.make(sizes, [1, 7][:len(sizes)]),
+                                keep_transcript=False)
+    else:
+        cls = ALGORITHMS[alg_id]
+        inst = Instance.make(sizes)
+        alg = cls(inst, 5) if cls is RandomizedAlgorithm else cls(inst)
+    rng = random.Random(4)
+    for t in range(1, 1001):
+        alg.serve(evasive_next(alg.instance, alg.current, rng))
+        if t % 37 == 0:
+            alg.finalize()
+    alg.finalize()
+    phases = [s.phase for s in alg.phase_summaries]
+    assert phases == list(range(1, len(phases) + 1))
+    assert all(s.complete for s in alg.phase_summaries[:-1])
+    assert sum(s.requests for s in alg.phase_summaries) == 1000
