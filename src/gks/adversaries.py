@@ -25,7 +25,7 @@ from .core import (
 
 def antipodal_next(instance: Instance, current: Sequence[int]) -> Request:
     """The unique request unsatisfied by `current`; needs two-point metrics."""
-    if any(n != 2 for n in instance.sizes):
+    if instance.sizes.count(2) != instance.k:
         raise InvalidInputError(
             f"antipodal adversary requires every metric to have 2 points, got {instance.sizes}"
         )
@@ -96,7 +96,7 @@ def run_closed_loop(algorithm, rounds: int, *, step_cap: int | None = None) -> C
     (default 2^(2k)) guards against non-termination.
     """
     instance = algorithm.instance
-    if any(n != 2 for n in instance.sizes):
+    if instance.sizes.count(2) != instance.k:
         raise InvalidInputError(
             f"closed-loop strategy requires every metric to have 2 points, got {instance.sizes}"
         )

@@ -43,7 +43,12 @@ TRANSCRIPT_HEADER = "gks-transcript v1"
 
 @dataclass(slots=True)
 class Step:
-    """One transcript row: what a single request did to the algorithm."""
+    """One transcript row: what a single request did to the algorithm.
+
+    The first nine fields are the transcript's columns, in order.  The
+    transcript has no shrink column, so a `Step` read from a file has
+    `shrunk` False on every row.
+    """
 
     index: int
     phase: int
@@ -165,20 +170,18 @@ class OnlineAlgorithm:
         post = self._serve(r, phase_start)
         if not satisfies(post, r):
             raise InvariantViolationError(f"post-state {post} does not satisfy request {r}")
-        cost = hamming(pre, post)
+        cost = 0 if post is pre else hamming(pre, post)  # staying put is free
         self.current = post
         self.total_cost += cost
         self._step_index += 1
 
         max_dim, max_count = family.max_dimension_stats()
-        step = Step(
-            index=self._step_index, phase=self.phase, request=r, pre=pre, post=post,
-            cost=cost, family_size=len(family), max_dim=max_dim, max_count=max_count,
-            moved=post != pre, shrunk=shrunk, phase_start=phase_start,
-        )
+        moved = cost > 0
+        step = Step(self._step_index, self.phase, r, pre, post, cost, len(family),
+                    max_dim, max_count, moved, shrunk, phase_start)
         summary = self.phase_summaries[-1]
         summary.requests += 1
-        summary.moves += step.moved
+        summary.moves += moved
         summary.shrinks += shrunk
         summary.cost += cost
         if self.transcript is not None:
@@ -420,7 +423,8 @@ def _read_state(instance: Instance, text: str, lineno: int, what: str) -> Config
 def read_transcript(src: Union[str, Path, IO[str]]) -> tuple[Instance, list[Step]]:
     """Parse a transcript; requests are checked against the header's
     instance, pre- and post-states only for width and sign, and rows for the
-    order above.  Each distinct request or state text is parsed once."""
+    order above.  Each distinct request or state text is parsed once.  The
+    file has no shrink column, so every `Step.shrunk` reads False."""
     lines = ContentLines(src)
     instance = read_header(lines, TRANSCRIPT_HEADER)
     steps: list[Step] = []

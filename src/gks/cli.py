@@ -8,7 +8,6 @@ every output byte is a function of flags, seed, and input files.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import sys
 import time
@@ -298,7 +297,9 @@ def cmd_run(alg, seq_file, gen, steps, k, sizes, weights, seed, seeds, jobs,
         if dump_seq or transcript_out:
             _fail(EXIT_INPUT, "--dump-seq/--transcript-out need a single seed")
         if jobs > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            # imported here: it loads `logging`, and only this sweep needs it
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
                 reports = list(pool.map(_sweep_worker, tasks))
         else:
             reports = [_sweep_worker(t) for t in tasks]

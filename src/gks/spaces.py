@@ -20,6 +20,8 @@ lexicographic order.  Tuples appear only where the family meets callers.
 from __future__ import annotations
 
 import math
+from functools import cache
+from operator import getitem
 from typing import Iterator, Sequence
 
 from .core import (
@@ -45,6 +47,13 @@ def pattern_str(pattern: Pattern) -> str:
     return ",".join("*" if v is None else str(v) for v in pattern)
 
 
+@cache
+def _bit_table(k: int, width: int) -> tuple[tuple[int, ...], ...]:
+    """Per coordinate i, the row of its bits: entry x is `1 << ((k-1-i)*width + x)`.
+    Rows are immutable, as every family of this (k, width) shares them."""
+    return tuple(tuple(1 << ((k - 1 - i) * width + x) for x in range(width)) for i in range(k))
+
+
 class FeasibleFamily:
     """The set of patterns whose union is the phase's feasible configurations.
 
@@ -59,18 +68,20 @@ class FeasibleFamily:
     `duplicate_creations` rather than kept twice.  A destroyed pattern can
     never be re-created (its members left the feasible union for good),
     which `update` checks, raising InvariantViolationError.  A point outside [0, width) would alias
-    another coordinate's bit, so the family refuses it.
+    another coordinate's bit, so the family refuses it: a point's bits come
+    from a per-(k, width) table (see `point_bits`).
 
     Single writer: `update` mutates in place for speed; take `copy()` when a
     snapshot must outlive later updates.
     """
 
     __slots__ = ("k", "width", "spaces", "created", "duplicate_creations", "_dim_hist",
-                 "_created_hist")
+                 "_created_hist", "_bits")
 
     def __init__(self, k: int, width: int):
         self.k = k
         self.width = width
+        self._bits = _bit_table(k, width)
         self.spaces: dict[int, int] = {}   # alive mask -> free-coordinate bits
         self.created: set[int] = set()     # distinct masks created in the phase
         self.duplicate_creations: int = 0
@@ -88,17 +99,23 @@ class FeasibleFamily:
         fam._dim_hist[k] = 1
         return fam
 
+    def point_bits(self, point: Sequence[int]) -> list[int]:
+        """The bit of each coordinate of a configuration or request, by
+        coordinate; their sum is its mask.  Indexing a table row refuses an
+        entry >= width or one that is not an int, and one test of the
+        minimum refuses negatives."""
+        try:
+            if min(point) >= 0:
+                return list(map(getitem, self._bits, point))
+        except (IndexError, TypeError):
+            pass
+        raise InvalidInputError(
+            f"point {tuple(point)} has an entry that is not an int in [0, {self.width})")
+
     def mask(self, entries: Sequence) -> int:
         """Mask of a pattern, or of a configuration or request (all fixed)."""
-        width = self.width
-        m = 0
-        for x in entries:
-            m <<= width
-            if x is not None:
-                if not 0 <= x < width:
-                    raise InvalidInputError(f"point {x} outside [0, {width})")
-                m |= 1 << x
-        return m
+        bits = self.point_bits([0 if x is None else x for x in entries])
+        return sum(b for b, x in zip(bits, entries) if x is not None)
 
     def pattern(self, mask: int, slots: Sequence | None = None) -> tuple:
         """`slots` (all FREE by default) with every entry `mask` fixes set."""
@@ -138,13 +155,12 @@ class FeasibleFamily:
         """
         if len(r) != self.k:
             raise InvalidInputError(f"request has {len(r)} coordinates, expected {self.k}")
-        rmask = self.mask(r)
+        rbits = self.point_bits(r)
+        rmask = sum(rbits)
         spaces = self.spaces
         doomed = [m for m in spaces if not m & rmask]
         if not doomed:
             return False
-        last, width = self.k - 1, self.width
-        rbits = [1 << ((last - i) * width + x) for i, x in enumerate(r)]  # by coordinate
         # Children can only collide with alive patterns: a destroyed pattern
         # left the feasible union for good, and children always sit inside
         # the current union.  Every alive pattern but the whole space (which
@@ -199,7 +215,7 @@ class FeasibleFamily:
         from the current position (free entries are copied), which is the
         popcount of its mask outside `current`'s.
         """
-        return self._cheapest(~self.mask(current))
+        return self._cheapest(~sum(self.point_bits(current)))
 
     def _cheapest(self, away: int) -> list[int]:
         """`cheapest` with `current`'s mask given as its complement."""
@@ -222,7 +238,7 @@ class FeasibleFamily:
         Ties across patterns go to the lexicographically smallest
         configuration.
         """
-        away = ~self.mask(current)
+        away = ~sum(self.point_bits(current))
         moves = {m & away for m in self._cheapest(away)}
         return min(self.pattern(move, current) for move in moves)
 

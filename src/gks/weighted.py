@@ -129,7 +129,12 @@ def learning_topk(counts: Mapping[int, int], c: int, n_points: int) -> list[int]
 @dataclass
 class LevelPhaseRecord:
     """Anatomy of one phase at one level (levels 2 and up), filled in as its
-    subphases close; the last three fields are set when the phase completes."""
+    subphases close; the last three fields are set when the phase completes.
+
+    `light[p]` turns True at the first subphase close where point p had at
+    most 1/c of the subphase's requests, so `fraction_ok` needs no
+    per-subphase counts; those are kept only when the run records them.
+    """
 
     level: int
     index: int                      # 1-based among the level's phases
@@ -138,7 +143,8 @@ class LevelPhaseRecord:
     lower_charged: list[int] = field(default_factory=list)  # charged below, per subphase
     moves: list[tuple[int, int]] = field(default_factory=list)  # (target, actual cost)
     pool: list[int] | None = None   # the tour, ranked at the first subphase's close
-    point_counts: list[dict] | None = field(default_factory=list)
+    point_counts: list[dict] | None = None  # per subphase, kept only when recording
+    light: list[bool] = field(default_factory=list)  # per real point, see above
     fraction_ok: bool = False       # every point has a subphase with <= 1/c of requests
     total_requests: int = 0
     phase_cost_actual: int = 0      # lower actual + own boundary moves
@@ -152,16 +158,18 @@ class _Level:
     __slots__ = (
         "i", "w", "c", "m", "n_real", "pos", "opened", "lower_phases",
         "req_in_subphase", "counts", "lower_actual", "lower_charged", "record",
-        "completed_phases", "phase_records",
+        "completed_phases", "phase_records", "keep_counts",
     )
 
-    def __init__(self, i: int, w: int, c: int, m: int, n_real: int, pos: int):
+    def __init__(self, i: int, w: int, c: int, m: int, n_real: int, pos: int,
+                 keep_counts: bool):
         self.i = i
         self.w = w
         self.c = c
         self.m = m
         self.n_real = n_real
         self.pos = pos
+        self.keep_counts = keep_counts
         self.completed_phases = 0
         self.phase_records: list[LevelPhaseRecord] = []
         self._reset_phase()
@@ -173,7 +181,9 @@ class _Level:
     def _reset_phase(self):
         self.opened = False
         self.lower_phases = 0
-        self.record = LevelPhaseRecord(self.i, self.completed_phases + 1)
+        self.record = LevelPhaseRecord(self.i, self.completed_phases + 1,
+                                       point_counts=[] if self.keep_counts else None,
+                                       light=[False] * self.n_real)
         self._reset_subphase()
 
     def _reset_subphase(self):
@@ -212,7 +222,8 @@ class WeightedAlgorithm:
             w = self.rounded.rounded[i - 1]
             c_i = self.table.c(i)
             m_i = 1 if i == 1 else self.rounded.multipliers[i - 2]
-            self._levels.append(_Level(i, w, c_i, m_i, instance.sizes[i - 1], start[i - 1]))
+            self._levels.append(_Level(i, w, c_i, m_i, instance.sizes[i - 1], start[i - 1],
+                                       record_point_counts))
         self._lvl1 = self._levels[0]
         self._upper = self._levels[1:]
         self._top = self._levels[-1]
@@ -249,9 +260,8 @@ class WeightedAlgorithm:
 
         if satisfies(pre, r):
             self.filtered += 1
-            step = Step(index=self._step_index, phase=top_phase, request=r, pre=pre,
-                        post=pre, cost=0, family_size=0, max_dim=0, max_count=0,
-                        moved=False, shrunk=False, phase_start=False)
+            step = Step(self._step_index, top_phase, r, pre, pre, 0, 0, 0, 0,
+                        False, False, False)
             if self.transcript is not None:
                 self.transcript.append(step)
             return step
@@ -294,9 +304,8 @@ class WeightedAlgorithm:
         self._current = post
 
         moved = post != pre
-        step = Step(index=self._step_index, phase=top_phase, request=r, pre=pre,
-                    post=post, cost=cost, family_size=0, max_dim=0, max_count=0,
-                    moved=moved, shrunk=False, phase_start=phase_start)
+        step = Step(self._step_index, top_phase, r, pre, post, cost, 0, 0, 0,
+                    moved, False, phase_start)
         summary.moves += moved
         summary.cost += cost
         if self.transcript is not None:
@@ -345,12 +354,15 @@ class WeightedAlgorithm:
                 f"above its charged cost {level.lower_charged}"
             )
         rec = level.record
-        rec.requests.append(level.req_in_subphase)
+        nreq, counts, c = level.req_in_subphase, level.counts, level.c
+        rec.requests.append(nreq)
         rec.lower_actual.append(level.lower_actual)
         rec.lower_charged.append(level.lower_charged)
-        rec.point_counts.append(level.counts)
+        rec.light = [was or counts.get(p, 0) * c <= nreq for p, was in enumerate(rec.light)]
+        if rec.point_counts is not None:
+            rec.point_counts.append(counts)
         if rec.pool is None:
-            rec.pool = learning_topk(level.counts, level.c, level.n_real)
+            rec.pool = learning_topk(counts, c, level.n_real)
         level._reset_subphase()
 
         if len(rec.requests) == level.c + 1:
@@ -380,15 +392,9 @@ class WeightedAlgorithm:
                 f"level {level.i} toured {len(visited)} points "
                 f"({len(set(visited))} distinct), expected {level.c} distinct"
             )
-        rec.fraction_ok = all(
-            any(counts.get(p, 0) * level.c <= nreq
-                for counts, nreq in zip(rec.point_counts, requests))
-            for p in range(level.n_real)
-        )
+        rec.fraction_ok = all(rec.light)
         rec.total_requests = sum(requests)
         rec.phase_cost_actual = sum(rec.lower_actual) + sum(a for _, a in rec.moves)
-        if not self.record_point_counts:
-            rec.point_counts = None
         level.phase_records.append(rec)
         level.completed_phases += 1
         level._reset_phase()

@@ -155,6 +155,19 @@ def opened(r, sizes):
     return next_family(None, r, sizes)[0]
 
 
+def loop_mask(entries, width):
+    """A pattern's mask built entry by entry: one block of `width` bits per
+    coordinate, coordinate 0 highest, bit x set for a fixed point x."""
+    m = 0
+    for x in entries:
+        m <<= width
+        if x is not None:
+            if not 0 <= x < width:
+                raise InvalidInputError(f"point {x} outside [0, {width})")
+            m |= 1 << x
+    return m
+
+
 def plant(pattern, width):
     """A family holding `pattern` alone."""
     fam = FeasibleFamily(len(pattern), width)

@@ -23,6 +23,7 @@ from helpers import (
     dimension,
     exhaustive_feasible,
     family_union,
+    loop_mask,
     members,
     opened,
     plant,
@@ -115,13 +116,35 @@ def test_family_init_examples():
 
 def test_family_refuses_points_outside_width():
     fam = opened((0, 1, 2), (3, 2, 3))
-    for bad in [(3, 0, 0), (0, -1, 0)]:
+    for bad in [(3, 0, 0), (0, -1, 0), (1.0, 0, 0), (0, 0, "1")]:
         with pytest.raises(InvalidInputError):
             fam.copy().update(bad)
         with pytest.raises(InvalidInputError):
             fam.nearest_member(bad)
         with pytest.raises(InvalidInputError):
+            fam.cheapest(bad)
+        with pytest.raises(InvalidInputError):
             bad in fam
+
+
+def test_point_bits_match_the_loop_mask():
+    rng = random.Random(14)
+    for k in range(1, 9):
+        for width in range(2, 6):
+            fam = FeasibleFamily(k, width)
+            for _ in range(40):
+                point = tuple(rng.randrange(width) for _ in range(k))
+                assert sum(fam.point_bits(point)) == loop_mask(point, width)
+                assert fam.mask(point) == loop_mask(point, width)
+                pattern = tuple(None if rng.random() < 0.4 else x for x in point)
+                assert fam.mask(pattern) == loop_mask(pattern, width)
+                i = rng.randrange(k)
+                for x in (width, width + rng.randrange(5), -1, -rng.randrange(1, width + 1)):
+                    bad = point[:i] + (x,) + point[i + 1:]
+                    for build in (lambda: sum(fam.point_bits(bad)), lambda: fam.mask(bad),
+                                  lambda: loop_mask(bad, width)):
+                        with pytest.raises(InvalidInputError):
+                            build()
 
 
 def test_family_trace_example():

@@ -160,6 +160,33 @@ def test_two_level_fraction_breakdown():
                        for counts, nreq in zip(rec.point_counts, rec.requests))
 
 
+def test_fraction_flags_match_recorded_counts_in_both_modes():
+    # the two-level instance of acceptance criterion 8
+    inst = Instance.make([3, 3], [1, 7])
+    kept = WeightedAlgorithm(inst, keep_transcript=False)
+    lean = WeightedAlgorithm(inst, keep_transcript=False, record_point_counts=False)
+    rng = random.Random(8)
+    for _ in range(2 * 396 + 200):
+        r = evasive_next(inst, kept.current, rng)
+        kept.serve(r)
+        lean.serve(r)
+        level, lean_level = kept._levels[1], lean._levels[1]
+        rec = level.record
+        assert rec.light == [any(counts.get(p, 0) * level.c <= nreq
+                                 for counts, nreq in zip(rec.point_counts, rec.requests))
+                             for p in range(level.n_real)]
+        assert lean_level.record.light == rec.light
+        assert lean_level.record.point_counts is None
+    records, lean_records = kept._levels[1].phase_records, lean._levels[1].phase_records
+    assert len(records) == 2
+    assert [r.fraction_ok for r in records] == [r.fraction_ok for r in lean_records]
+    assert all(r.point_counts is None for r in lean_records)
+    report = kept.phase_report()
+    for phase in report["levels"][1]["phases"]:
+        del phase["point_counts"]
+    assert report == lean.phase_report()
+
+
 def test_three_level_anatomy_scaled_constants():
     table = ConstantTable({1: 2, 2: 4, 3: 8})
     inst = Instance.make([3, 3, 3], [1, 6, 60])
