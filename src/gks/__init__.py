@@ -17,10 +17,9 @@ from .core import (
     hamming,
     read_sequence,
     satisfies,
-    weighted_distance,
     write_sequence,
 )
-from .spaces import FREE, FeasibleFamily, member
+from .spaces import FREE, FeasibleFamily
 from .algorithms import (
     AlternativeAlgorithm,
     DistributionTracker,

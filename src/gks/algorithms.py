@@ -36,7 +36,7 @@ from .core import (
     satisfies,
     write_lines,
 )
-from .spaces import FeasibleFamily, Pattern, member
+from .spaces import FeasibleFamily, Pattern
 
 TRANSCRIPT_HEADER = "gks-transcript v1"
 
@@ -347,31 +347,6 @@ class DistributionTracker:
 
     def run(self, requests: Iterable[Sequence[int]]) -> list[TrackerStep]:
         return [self.step(r) for r in requests]
-
-
-def replay_space_choices(steps: Sequence[TrackerStep], seed: int,
-                         start: Config) -> list[tuple[Pattern, Config, int]]:
-    """Re-run only the random choices against a precomputed family trace.
-
-    Consumes the RNG exactly like the randomized algorithm does, so a given
-    seed yields the same pattern/position chain at a fraction of the cost;
-    sweeps over many seeds share one trace.  Returns per-step
-    (pattern, position, move cost).
-    """
-    rng = random.Random(seed)
-    space: Pattern | None = None
-    pos = start
-    out = []
-    for st in steps:
-        if st.phase_start or space is None or space not in st.masses:
-            space = st.patterns[rng.randrange(len(st.patterns))]
-            new_pos = member(space, pos)
-            cost = hamming(pos, new_pos)
-            pos = new_pos
-        else:
-            cost = 0
-        out.append((space, pos, cost))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from .core import (
     InvalidInputError,
     InvariantViolationError,
     ResourceLimitError,
-    SequenceFormatError,
     format_fraction,
     parse_fractions,
     parse_ints,
@@ -57,19 +56,6 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-def _guard(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except SequenceFormatError as e:
-        _fail(EXIT_INPUT, str(e))
-    except ResourceLimitError as e:
-        _fail(EXIT_RESOURCE, str(e))
-    except (InvariantViolationError, CertificateImpossibleError) as e:
-        _fail(EXIT_VIOLATION, str(e))
-    except (InvalidInputError, GKSError) as e:
-        _fail(EXIT_INPUT, str(e))
-
-
 def _write(path, writer, *args, **kwargs):
     """Run a file writer; an unusable path is an input error."""
     try:
@@ -98,7 +84,7 @@ def _parse_flag(flag: str, parse, text: str):
 
 def _parse_tuple(text: str, instance: Instance, what: str):
     coords = _parse_flag("--start", parse_ints, text)
-    return _guard(instance.check_coords, coords, what)
+    return instance.check_coords(coords, what)
 
 
 def _instance_from_flags(k, sizes, weights):
@@ -109,7 +95,7 @@ def _instance_from_flags(k, sizes, weights):
         size_list *= k
     weight_list = _parse_flag("--weights", parse_fractions, weights) if weights \
         else (Fraction(1),) * k
-    return _guard(Instance, k, size_list, weight_list)
+    return Instance(k, size_list, weight_list)
 
 
 def _instance_echo(instance: Instance) -> dict:
@@ -144,24 +130,24 @@ def _write_report(report: dict, out: str | None):
 
 def _build_algorithm(alg: str, instance: Instance, seed: int, start):
     if alg == "weighted":
-        return _guard(WeightedAlgorithm, instance, start=start)
+        return WeightedAlgorithm(instance, start=start)
     cls = ALGORITHMS[alg]
     if cls is RandomizedAlgorithm:
-        return _guard(cls, instance, seed, start=start)
-    return _guard(cls, instance, start=start)
+        return cls(instance, seed, start=start)
+    return cls(instance, start=start)
 
 
 def _execute_run(alg: str, instance: Instance, requests, gen: str | None,
                  steps: int, seed: int, start) -> tuple:
     algorithm = _build_algorithm(alg, instance, seed, start)
     if requests is not None:
-        _guard(algorithm.run, requests)
+        algorithm.run(requests)
         seq = requests
     elif gen == "random":
         seq = random_sequence(instance, steps, seed)
-        _guard(algorithm.run, seq)
+        algorithm.run(seq)
     else:
-        seq = _guard(run_evasive, algorithm, steps, seed)
+        seq = run_evasive(algorithm, steps, seed)
     return algorithm, seq
 
 
@@ -200,7 +186,7 @@ def _run_one(alg: str, instance: Instance, requests, gen, steps, seed, start,
     algorithm, seq = _execute_run(alg, instance, requests, gen, steps, seed, start)
     certificates = None
     if with_certify:
-        results = _guard(certify_transcript, instance, algorithm.transcript)
+        results = certify_transcript(instance, algorithm.transcript)
         certificates = [{"phase": phase, "length": cert.length, **asdict(v)}
                         for phase, cert, v in results]
     opt = None
@@ -208,7 +194,7 @@ def _run_one(alg: str, instance: Instance, requests, gen, steps, seed, start,
         opt_instance = instance
         if alg == "weighted":
             opt_instance = Instance.make(instance.sizes, algorithm.rounded.rounded)
-        opt = _guard(opt_cost, opt_instance, start or (0,) * instance.k, seq)
+        opt = opt_cost(opt_instance, start or (0,) * instance.k, seq)
     wall = round(time.perf_counter() - t0, 6)
     report = _run_report(alg, instance, algorithm, seq, seed, opt, certificates, wall)
     return report, algorithm, seq
@@ -220,8 +206,10 @@ def _sweep_worker(task) -> dict:
 
 
 class _Commands(click.Group):
-    """Exits 1 on click's own usage errors (a bad flag value, a missing
-    file, an unknown choice): they are input errors like any other."""
+    """Decides every command's exit code.  Click's own usage errors (a bad
+    flag value, a missing file, an unknown choice) exit 1, as input errors
+    like any other; a `GKSError` prints its `error:` line and exits with
+    the code of its kind."""
 
     def make_context(self, *args, **kwargs):
         try:
@@ -236,6 +224,12 @@ class _Commands(click.Group):
         except click.UsageError as e:
             e.exit_code = EXIT_INPUT
             raise
+        except ResourceLimitError as e:
+            _fail(EXIT_RESOURCE, str(e))
+        except (InvariantViolationError, CertificateImpossibleError) as e:
+            _fail(EXIT_VIOLATION, str(e))
+        except GKSError as e:
+            _fail(EXIT_INPUT, str(e))
 
 
 @click.group(cls=_Commands)
@@ -274,13 +268,20 @@ def cmd_run(alg, seq_file, gen, steps, k, sizes, weights, seed, seeds, jobs,
     if with_certify and alg == "weighted":
         _fail(EXIT_INPUT, UNIFORM_ONLY)
     if seq_file is not None:
-        instance, requests = _guard(read_sequence, seq_file)
+        instance, requests = read_sequence(seq_file)
     else:
         instance = _instance_from_flags(k, sizes, weights)
         requests = None
     start_cfg = _parse_tuple(start, instance, "start configuration") if start else None
 
     seed_list = _parse_flag("--seeds", parse_ints, seeds) if seeds else (seed,)
+    if len(seed_list) > 1 and (dump_seq or transcript_out):
+        _fail(EXIT_INPUT, "--dump-seq/--transcript-out need a single seed")
+    n_requests = steps if requests is None else len(requests)
+    if with_opt and n_requests:
+        # an optimum out of reach is refused before serving; the optimum of
+        # no requests is 0 whatever the caps
+        check_caps(instance, n_requests)
     tasks = [(alg, instance, requests, gen, steps, s, start_cfg, with_opt, with_certify)
              for s in seed_list]
 
@@ -294,8 +295,6 @@ def cmd_run(alg, seq_file, gen, steps, k, sizes, weights, seed, seeds, jobs,
         _write_report(report, out)
         reports = [report]
     else:
-        if dump_seq or transcript_out:
-            _fail(EXIT_INPUT, "--dump-seq/--transcript-out need a single seed")
         if jobs > 1:
             # imported here: it loads `logging`, and only this sweep needs it
             from concurrent.futures import ProcessPoolExecutor
@@ -328,18 +327,17 @@ def cmd_run(alg, seq_file, gen, steps, k, sizes, weights, seed, seeds, jobs,
                    "its requests * states scan must fit --work-cap too")
 def cmd_opt(seq_file, start, state_cap, work_cap, trace_wf):
     """Print the exact offline optimum for a sequence file."""
-    instance, requests = _guard(read_sequence, seq_file)
+    instance, requests = read_sequence(seq_file)
     start_cfg = _parse_tuple(start, instance, "start configuration") if start \
         else (0,) * instance.k
     if trace_wf:
-        minima = _guard(work_function_minima, instance, start_cfg, requests,
-                        state_cap=state_cap, work_cap=work_cap)
+        minima = work_function_minima(instance, start_cfg, requests,
+                                      state_cap=state_cap, work_cap=work_cap)
         for t, value in enumerate(minima):
             click.echo(f"t={t}\tmin={format_fraction(value)}")
         click.echo(format_fraction(minima[-1]))
         return
-    value = _guard(opt_cost, instance, start_cfg, requests,
-                   state_cap=state_cap, work_cap=work_cap)
+    value = opt_cost(instance, start_cfg, requests, state_cap=state_cap, work_cap=work_cap)
     click.echo(format_fraction(value))
 
 
@@ -356,15 +354,15 @@ def cmd_opt(seq_file, start, state_cap, work_cap, trace_wf):
 @click.option("--dump-seq", type=click.Path(dir_okay=False), default=None)
 def cmd_duel(alg, adversary, k, rounds, seed, start, out, dump_seq):
     """Closed-loop duel on two-point metrics; reports the measured ratio."""
-    instance = _guard(Instance.uniform, k, 2)
+    instance = Instance.uniform(k, 2)
     # every round has at least 2^k - 1 requests, so an optimum out of reach
     # is refused before serving
-    _guard(check_caps, instance, rounds * (2 ** k - 1))
+    check_caps(instance, rounds * (2 ** k - 1))
     start_cfg = _parse_tuple(start, instance, "start configuration") if start else None
     t0 = time.perf_counter()
     algorithm = _build_algorithm(alg, instance, seed, start_cfg)
-    result = _guard(run_closed_loop, algorithm, rounds)
-    opt = _guard(opt_cost, instance, start_cfg or (0,) * k, result.requests)
+    result = run_closed_loop(algorithm, rounds)
+    opt = opt_cost(instance, start_cfg or (0,) * k, result.requests)
     wall = round(time.perf_counter() - t0, 6)
     report = _run_report(alg, instance, algorithm, result.requests, seed, opt, None, wall)
     report.update(adversary=adversary, adversary_model=result.adversary_model,
@@ -387,17 +385,16 @@ def cmd_certify(transcript_file, alg, seq_file, seed, cert_out):
     if (transcript_file is None) == (alg is None):
         _fail(EXIT_INPUT, "provide exactly one of --transcript or --alg with --seq")
     if transcript_file is not None:
-        instance, steps = _guard(read_transcript, transcript_file)
+        instance, steps = read_transcript(transcript_file)
         if not instance.is_unit_uniform:
             _fail(EXIT_INPUT, UNIFORM_ONLY)
     else:
         if seq_file is None:
             _fail(EXIT_INPUT, "--alg needs --seq")
-        instance, requests = _guard(read_sequence, seq_file)
-        algorithm = _build_algorithm(alg, instance, seed, None)
-        _guard(algorithm.run, requests)
+        instance, requests = read_sequence(seq_file)
+        algorithm, _ = _execute_run(alg, instance, requests, None, 0, seed, None)
         steps = algorithm.transcript
-    results = _guard(certify_transcript, instance, steps)
+    results = certify_transcript(instance, steps)
     all_ok = True
     for phase, cert, v in results:
         ok = v.all_ok

@@ -86,7 +86,7 @@ class Instance:
     @classmethod
     def make(cls, sizes: Sequence[int], weights: Sequence[WeightLike] | None = None) -> "Instance":
         """Build an instance from point counts; weights default to all 1."""
-        sizes = tuple(int(n) for n in sizes)
+        sizes = tuple(sizes)
         if weights is None:
             ws = tuple(Fraction(1) for _ in sizes)
         else:
@@ -134,17 +134,6 @@ def hamming(a: Config, b: Config) -> int:
     """Number of coordinates where the two configurations differ."""
     _check_len(a, b)
     return sum(map(ne, a, b))
-
-
-def weighted_distance(a: Config, b: Config, weights: Sequence[Fraction]) -> Fraction:
-    """Sum of per-metric weights over differing coordinates."""
-    _check_len(a, b)
-    _check_len(a, weights)
-    out = Fraction(0)
-    for x, y, w in zip(a, b, weights):
-        if x != y:
-            out += w
-    return out
 
 
 def format_fraction(x: Fraction | int) -> str:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from functools import cache
 from operator import getitem
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .core import (
     Config,
@@ -34,13 +34,6 @@ from .core import (
 
 FREE = None
 Pattern = tuple  # entries: int (fixed point) or None (free coordinate)
-
-
-def member(pattern: Pattern, near: Config) -> Config:
-    """The member of the pattern closest to `near` (free slots copied over)."""
-    if len(pattern) != len(near):
-        raise InvalidInputError(f"coordinate count mismatch: {len(pattern)} vs {len(near)}")
-    return tuple(x if v is None else v for v, x in zip(pattern, near))
 
 
 def pattern_str(pattern: Pattern) -> str:
@@ -71,8 +64,7 @@ class FeasibleFamily:
     another coordinate's bit, so the family refuses it: a point's bits come
     from a per-(k, width) table (see `point_bits`).
 
-    Single writer: `update` mutates in place for speed; take `copy()` when a
-    snapshot must outlive later updates.
+    Single writer: `update` mutates in place.
     """
 
     __slots__ = ("k", "width", "spaces", "created", "duplicate_creations", "_dim_hist",
@@ -112,11 +104,6 @@ class FeasibleFamily:
         raise InvalidInputError(
             f"point {tuple(point)} has an entry that is not an int in [0, {self.width})")
 
-    def mask(self, entries: Sequence) -> int:
-        """Mask of a pattern, or of a configuration or request (all fixed)."""
-        bits = self.point_bits([0 if x is None else x for x in entries])
-        return sum(b for b, x in zip(bits, entries) if x is not None)
-
     def pattern(self, mask: int, slots: Sequence | None = None) -> tuple:
         """`slots` (all FREE by default) with every entry `mask` fixes set."""
         last, width = self.k - 1, self.width
@@ -130,21 +117,6 @@ class FeasibleFamily:
 
     def __len__(self) -> int:
         return len(self.spaces)
-
-    def __contains__(self, pattern: Pattern) -> bool:
-        return len(pattern) == self.k and self.mask(pattern) in self.spaces
-
-    def __iter__(self) -> Iterator[Pattern]:
-        return (self.pattern(m) for m in self.spaces)
-
-    def copy(self) -> "FeasibleFamily":
-        fam = FeasibleFamily(self.k, self.width)
-        fam.spaces = dict(self.spaces)
-        fam.created = set(self.created)
-        fam.duplicate_creations = self.duplicate_creations
-        fam._dim_hist = list(self._dim_hist)
-        fam._created_hist = list(self._created_hist)
-        return fam
 
     def update(self, r: Request) -> bool:
         """Apply a request in place; True iff any pattern split or vanished.

@@ -3,6 +3,7 @@ builders of the program's own feasible family, and the text-file readers and
 writers that the program's per-call caches replaced."""
 
 import itertools
+import random
 from fractions import Fraction
 
 from gks.algorithms import TRANSCRIPT_HEADER, Step, next_family
@@ -19,7 +20,6 @@ from gks.core import (
     parse_point,
     read_header,
     satisfies,
-    weighted_distance,
 )
 from gks.offline import _layers
 from gks.spaces import FeasibleFamily
@@ -34,6 +34,14 @@ def check_coords(instance: Instance, t, what="request"):
         if not isinstance(x, int) or not 0 <= x < n:
             raise InvalidInputError(f"{what} coordinate {i} = {x!r} out of range [0, {n})")
     return t
+
+
+def weighted_distance(a, b, weights):
+    """Sum of per-metric weights over differing coordinates."""
+    if not len(a) == len(b) == len(weights):
+        raise InvalidInputError(
+            f"coordinate count mismatch: {len(a)}, {len(b)} and {len(weights)} weights")
+    return sum((w for x, y, w in zip(a, b, weights) if x != y), Fraction(0))
 
 
 def all_configs(sizes):
@@ -145,9 +153,14 @@ def canonical_key(pattern):
     return tuple(-1 if v is None else v for v in pattern)
 
 
-def family_union(patterns, sizes):
-    """Union of the members of every pattern."""
-    return {q for p in patterns for q in members(p, sizes)}
+def family_patterns(fam):
+    """The program family's patterns as tuples, in its slot order."""
+    return [fam.pattern(m) for m in fam.spaces]
+
+
+def family_union(fam, sizes):
+    """Union of the members of every pattern of the program's family."""
+    return {q for p in family_patterns(fam) for q in members(p, sizes)}
 
 
 def opened(r, sizes):
@@ -172,9 +185,34 @@ def plant(pattern, width):
     """A family holding `pattern` alone."""
     fam = FeasibleFamily(len(pattern), width)
     free = sum(1 << i for i, v in enumerate(pattern) if v is None)
-    fam.spaces[fam.mask(pattern)] = free
+    fam.spaces[loop_mask(pattern, width)] = free
     fam._dim_hist[free.bit_count()] = 1
     return fam
+
+
+def replay_space_choices(steps, seed, start):
+    """Re-run only the randomized algorithm's choices against an exact
+    tracker's trace (`DistributionTracker.steps`).
+
+    Draws from the RNG exactly as the randomized algorithm does: a new
+    pattern at a phase start or when the adopted one left the maximal set,
+    and the nearest member of the drawn pattern as the new position.
+    Returns per-step (pattern, position, move cost).
+    """
+    rng = random.Random(seed)
+    space = None
+    pos = start
+    out = []
+    for st in steps:
+        if st.phase_start or space is None or space not in st.masses:
+            space = st.patterns[rng.randrange(len(st.patterns))]
+            new_pos = tuple(x if v is None else v for v, x in zip(space, pos))
+            cost = sum(a != b for a, b in zip(pos, new_pos))
+            pos = new_pos
+        else:
+            cost = 0
+        out.append((space, pos, cost))
+    return out
 
 
 class NaiveFamily:

@@ -20,7 +20,6 @@ from gks.algorithms import (
     DistributionTracker,
     GenericAlgorithm,
     RandomizedAlgorithm,
-    replay_space_choices,
 )
 from gks.adversaries import random_sequence, run_closed_loop, run_evasive
 from gks.certify import (
@@ -38,7 +37,14 @@ from gks.certify import (
 from gks.offline import opt_cost
 from gks.weighted import ConstantTable, WeightedAlgorithm, constants, round_weights
 
-from helpers import dimension, family_union, members, plant
+from helpers import (
+    dimension,
+    family_patterns,
+    family_union,
+    members,
+    plant,
+    replay_space_choices,
+)
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -230,7 +236,7 @@ def test_criterion_4_split_and_family_bounds(corpus):
                     if not expected_infeasible:
                         continue
                     assert len(fam) == d and fam.duplicate_creations == 0
-                    assert all(dimension(c) == d - 1 for c in fam)
+                    assert all(dimension(c) == d - 1 for c in family_patterns(fam))
                     cases += 1
     exhaustive_seconds = time.perf_counter() - t0
 

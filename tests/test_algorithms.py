@@ -14,13 +14,18 @@ from gks.algorithms import (
     GenericAlgorithm,
     RandomizedAlgorithm,
     read_transcript,
-    replay_space_choices,
     transcript_lines,
     write_transcript,
 )
 from gks.adversaries import random_sequence, run_evasive
 
-from helpers import contains, exhaustive_feasible, family_union, opened
+from helpers import (
+    contains,
+    exhaustive_feasible,
+    family_union,
+    opened,
+    replay_space_choices,
+)
 
 
 def make(alg_id, instance, seed=0, **kw):

@@ -255,6 +255,24 @@ def test_duel_checks_optimum_caps_before_serving(runner, monkeypatch):
     assert "state space 16384 exceeds cap 10000" in result.stderr
 
 
+def test_run_checks_optimum_caps_before_serving(runner, monkeypatch):
+    flags = ["run", "--alg", "det", "--gen", "random", "--k", "9", "--sizes", "5", "--opt"]
+    # the optimum of no requests is 0 whatever the caps
+    empty = runner.invoke(main, flags + ["--steps", "0"])
+    assert empty.exit_code == 0, empty.output
+    assert json.loads(empty.stdout)["opt"] == "0"
+
+    def serve(*args, **kwargs):
+        raise AssertionError("served before the optimum's caps were checked")
+
+    monkeypatch.setattr(cli, "_execute_run", serve)
+    for seeds in (["--seed", "1"], ["--seeds", "1,2", "--jobs", "2"]):
+        result = runner.invoke(main, flags + ["--steps", "50"] + seeds)
+        assert result.exit_code == 3, result.output
+        errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+        assert errors == ["error: state space 1953125 exceeds cap 10000"], result.stderr
+
+
 def test_duel_oblivious_label(runner, tmp_path):
     out = tmp_path / "duel.json"
     result = runner.invoke(main, ["duel", "--alg", "rand", "--k", "2",

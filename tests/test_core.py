@@ -15,7 +15,6 @@ from gks.core import (
     hamming,
     read_sequence,
     satisfies,
-    weighted_distance,
     write_sequence,
 )
 from gks.adversaries import random_sequence
@@ -28,7 +27,7 @@ from gks.certify import (
     write_certificate,
 )
 
-from helpers import check_coords, monomial_expansion as poly_eval
+from helpers import check_coords, monomial_expansion as poly_eval, weighted_distance
 
 
 def test_satisfies_examples():
@@ -148,6 +147,9 @@ def test_instance_validation():
         Instance.make([2, 2], [1, 0])
     with pytest.raises(InvalidInputError):
         Instance.make([2, 2], [1, -3])
+    for sizes in ([2.9, 3], ["3", 4], [3.0, 2]):  # a size is an int, never converted
+        with pytest.raises(InvalidInputError):
+            Instance.make(sizes)
     inst = Instance.uniform(2, 3)
     assert inst.is_unit_uniform
     with pytest.raises(InvalidInputError):

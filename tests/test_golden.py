@@ -20,7 +20,6 @@ from gks.algorithms import (
     DistributionTracker,
     GenericAlgorithm,
     RandomizedAlgorithm,
-    replay_space_choices,
     transcript_lines,
     write_transcript,
 )
@@ -28,6 +27,8 @@ from gks.certify import certify_transcript, write_certificate
 from gks.cli import main
 from gks.core import Instance, write_sequence
 from gks.weighted import ConstantTable, WeightedAlgorithm
+
+from helpers import replay_space_choices
 
 WALL_LINE = re.compile(r'^\s*"wall_clock_sec": .*\n', re.MULTILINE)
 

@@ -7,12 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gks.core import Instance, InvalidInputError, ResourceLimitError, weighted_distance
+from gks.core import Instance, InvalidInputError, ResourceLimitError
 from gks.algorithms import GenericAlgorithm
 from gks.adversaries import random_sequence
 from gks.offline import opt_cost, work_function_minima
 
-from helpers import all_configs, brute_force_opt, naive_layers, work_function_layer
+from helpers import (
+    all_configs,
+    brute_force_opt,
+    naive_layers,
+    weighted_distance,
+    work_function_layer,
+)
 
 
 def test_single_request_example():
