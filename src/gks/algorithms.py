@@ -23,16 +23,14 @@ from .core import (
     Instance,
     InvalidInputError,
     InvariantViolationError,
+    Memo,
     Request,
-    SequenceFormatError,
     format_fraction,
     hamming,
     header_lines,
     parse_fraction,
     parse_int,
     parse_ints,
-    parse_point,
-    read_header,
     satisfies,
     write_lines,
 )
@@ -115,7 +113,6 @@ class OnlineAlgorithm:
     the cost grew by the move's Hamming distance.
     """
 
-    alg_id = "?"
     randomized = False
 
     def __init__(self, instance: Instance, start: Sequence[int] | None = None,
@@ -204,8 +201,6 @@ class GenericAlgorithm(OnlineAlgorithm):
     runs reproducible.
     """
 
-    alg_id = "det"
-
     def _serve(self, r, phase_start):
         if satisfies(self.current, r):
             return self.current
@@ -251,8 +246,6 @@ class AlternativeAlgorithm(_SpaceFollower):
     nearest member (`nearest_space`).
     """
 
-    alg_id = "alt"
-
     def _choose(self):
         return nearest_space(self.family, self.current)
 
@@ -264,7 +257,6 @@ class RandomizedAlgorithm(_SpaceFollower):
     maximal.  A fixed seed makes transcripts bit-identical across runs.
     """
 
-    alg_id = "rand"
     randomized = True
 
     def __init__(self, instance: Instance, seed: int,
@@ -356,16 +348,8 @@ class DistributionTracker:
 # non-negative.
 # ---------------------------------------------------------------------------
 
-class _PointTexts(dict):
-    """Point tuple -> its comma-separated text, formatted on first use."""
-
-    def __missing__(self, point: Config) -> str:
-        text = self[point] = ",".join(map(str, point))
-        return text
-
-
 def transcript_lines(steps: Iterable[Step]) -> Iterator[str]:
-    text = _PointTexts()
+    text = Memo(lambda point: ",".join(map(str, point)))
     for s in steps:
         cost = s.cost if type(s.cost) is int else format_fraction(s.cost)
         yield (f"{s.index}\t{s.phase}\t{text[s.request]}\t{text[s.pre]}\t{text[s.post]}\t"
@@ -382,17 +366,16 @@ def write_transcript(dest: Union[str, Path, IO[str]], instance: Instance,
     write_lines(dest, lines)
 
 
-def _read_state(instance: Instance, text: str, lineno: int, what: str) -> Config:
-    """k non-negative indices: a weighted run may park a server on a virtual
-    point, an index past its metric's last real point."""
-    try:
-        state = parse_ints(text)
-    except InvalidInputError as e:
-        raise SequenceFormatError(str(e), lineno) from e
-    if len(state) != instance.k or min(state) < 0:
-        raise SequenceFormatError(
-            f"{what} {text!r} is not {instance.k} non-negative indices", lineno)
-    return state
+def _state(k: int, text: str) -> Config:
+    """k non-negative indices, or () for integers of another width or sign:
+    a weighted run may park a server on a virtual point, an index past its
+    metric's last real point."""
+    state = parse_ints(text)
+    return state if len(state) == k and min(state) >= 0 else ()
+
+
+def _bad_state(instance: Instance, what: str, text: str):
+    raise InvalidInputError(f"{what} {text!r} is not {instance.k} non-negative indices")
 
 
 def read_transcript(src: Union[str, Path, IO[str]]) -> tuple[Instance, list[Step]]:
@@ -400,39 +383,36 @@ def read_transcript(src: Union[str, Path, IO[str]]) -> tuple[Instance, list[Step
     instance, pre- and post-states only for width and sign, and rows for the
     order above.  Each distinct request or state text is parsed once.  The
     file has no shrink column, so every `Step.shrunk` reads False."""
-    lines = ContentLines(src)
-    instance = read_header(lines, TRANSCRIPT_HEADER)
-    steps: list[Step] = []
-    prev_phase = 0
-    reqs: dict[str, Request] = {}  # text -> point, each parsed where it first occurs
-    states: dict[str, Config] = {}
-    for lineno, line in lines:
-        parts = line.split("\t")
-        if len(parts) != 9:
-            raise SequenceFormatError(f"expected 9 tab-separated fields, got {len(parts)}", lineno)
-        i, p, r, a, b, c, f, m, mc = parts
-        request = reqs.get(r) or reqs.setdefault(r, parse_point(instance, r, lineno))
-        pre = states.get(a) or states.setdefault(a, _read_state(instance, a, lineno, "pre-state"))
-        post = states.get(b) or states.setdefault(b, _read_state(instance, b, lineno, "post-state"))
-        try:
+    with ContentLines(src) as lines:
+        instance = lines.header(TRANSCRIPT_HEADER)
+        steps: list[Step] = []
+        prev_phase = 0
+        reqs = Memo(lambda text: instance.check_coords(parse_ints(text)))
+        states = Memo(lambda text: _state(instance.k, text))  # pre- and post-states alike
+        for line in lines:
+            parts = line.split("\t")
+            if len(parts) != 9:
+                raise InvalidInputError(f"expected 9 tab-separated fields, got {len(parts)}")
+            i, p, r, a, b, c, f, m, mc = parts
+            request = reqs[r]
+            pre = states[a] or _bad_state(instance, "pre-state", a)
+            post = states[b] or _bad_state(instance, "post-state", b)
             index, phase = parse_int(i), parse_int(p)
             cost: Union[int, Fraction] = int(c) if c.isdecimal() else parse_fraction(c)
             fam_size, max_dim, max_count = map(parse_int, (f, m, mc))
-        except InvalidInputError as e:
-            raise SequenceFormatError(str(e), lineno) from e
-        if cost.denominator == 1:
-            cost = int(cost)
-        if index != len(steps) + 1:
-            raise SequenceFormatError(
-                f"step {index} follows step {len(steps)}; steps count up from 1", lineno)
-        if phase < 1 or not prev_phase <= phase <= prev_phase + 1:
-            raise SequenceFormatError(
-                f"phase {phase} follows phase {prev_phase}; phases count up from 1", lineno)
-        if cost < 0:
-            raise SequenceFormatError(f"negative cost {format_fraction(cost)}", lineno)
-        steps.append(Step(index, phase, request, pre, post, cost, fam_size, max_dim, max_count,
-                          pre != post, False, phase != prev_phase))
-        prev_phase = phase
+            if cost.denominator == 1:
+                cost = int(cost)
+            if index != len(steps) + 1:
+                raise InvalidInputError(
+                    f"step {index} follows step {len(steps)}; steps count up from 1")
+            if phase < 1 or not prev_phase <= phase <= prev_phase + 1:
+                raise InvalidInputError(
+                    f"phase {phase} follows phase {prev_phase}; phases count up from 1")
+            if cost < 0:
+                raise InvalidInputError(f"negative cost {format_fraction(cost)}")
+            steps.append(Step(index, phase, request, pre, post, cost, fam_size, max_dim, max_count,
+                              pre != post, False, phase != prev_phase))
+            prev_phase = phase
     return instance, steps
 
 

@@ -34,11 +34,9 @@ from .core import (
     CertificateImpossibleError,
     InvalidInputError,
     Request,
-    SequenceFormatError,
     header_lines,
     parse_int,
     parse_ints,
-    read_header,
     satisfies,
     write_lines,
 )
@@ -367,33 +365,29 @@ def read_certificate(src: Union[str, Path, IO[str]]) -> tuple[Instance, PhaseCer
     The certificate keeps the file's matrices; its states and requests are
     read off them, q_t,i as A[t][1 << i] and r_t,i as -B[full ^ (1 << i)][t]
     with full = 2^k - 1."""
-    lines = ContentLines(src)
-    instance = read_header(lines, CERT_HEADER)
-    _, ell = lines.field("l", _positive_int)
-    k = instance.k
+    with ContentLines(src) as lines:
+        instance = lines.header(CERT_HEADER)
+        ell = lines.field("l", _positive_int)
+        k = instance.k
 
-    def matrix(label: str, n_rows: int, width: int) -> list[list[int]]:
-        lineno, line = lines.take(f"matrix label {label!r}")
-        if line != label:
-            raise SequenceFormatError(f"expected matrix label {label!r}, got {line!r}", lineno)
-        rows = []
-        for _ in range(n_rows):
-            lineno, line = lines.take(f"a row of matrix {label}")
-            try:
-                row = list(parse_ints(line, sep=None))
-            except InvalidInputError as e:
-                raise SequenceFormatError(str(e), lineno) from e
-            if len(row) != width:
-                raise SequenceFormatError(
-                    f"matrix {label} row has {len(row)} entries, expected {width}", lineno)
-            rows.append(row)
-        return rows
+        def matrix(label: str, n_rows: int, width: int) -> list[list[int]]:
+            line = lines.take(f"matrix label {label!r}")
+            if line != label:
+                raise InvalidInputError(f"expected matrix label {label!r}, got {line!r}")
+            rows = []
+            for _ in range(n_rows):
+                row = list(parse_ints(lines.take(f"a row of matrix {label}"), sep=None))
+                if len(row) != width:
+                    raise InvalidInputError(
+                        f"matrix {label} row has {len(row)} entries, expected {width}")
+                rows.append(row)
+            return rows
 
-    M = matrix("M", ell, ell)
-    A = matrix("A", ell, 1 << k)
-    B = matrix("B", 1 << k, ell)
-    for lineno, line in lines:
-        raise SequenceFormatError(f"unexpected line after matrix B: {line!r}", lineno)
+        M = matrix("M", ell, ell)
+        A = matrix("A", ell, 1 << k)
+        B = matrix("B", 1 << k, ell)
+        for line in lines:
+            raise InvalidInputError(f"unexpected line after matrix B: {line!r}")
     singles = [1 << i for i in range(k)]
     full = (1 << k) - 1
     states = tuple(tuple(row[s] for s in singles) for row in A)

@@ -386,7 +386,8 @@ def cmd_certify(transcript_file, alg, seq_file, seed, cert_out):
         _fail(EXIT_INPUT, "provide exactly one of --transcript or --alg with --seq")
     if transcript_file is not None:
         instance, steps = read_transcript(transcript_file)
-        if not instance.is_unit_uniform:
+        # an empty family marks a weighted run's row, even under unit weights
+        if not instance.is_unit_uniform or any(s.family_size == 0 for s in steps):
             _fail(EXIT_INPUT, UNIFORM_ONLY)
     else:
         if seq_file is None:

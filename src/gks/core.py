@@ -35,7 +35,11 @@ class SequenceFormatError(InvalidInputError):
 
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
-        self.line = line
+        self.message, self.line = message, line
+
+    def __reduce__(self):
+        # `args` holds only the formatted text; rebuild from both parts
+        return type(self), (self.message, self.line)
 
 
 class InvariantViolationError(GKSError):
@@ -179,9 +183,11 @@ def parse_fractions(text: str) -> tuple[Fraction, ...]:
 #   sizes=<n1,...,nk>
 #   weights=<w1,...,wk>     (integers or p/q rationals)
 #
-# Blank lines and '#'-prefixed comments are ignored everywhere.  Every
-# format error is a SequenceFormatError carrying its 1-based line number; a
-# file that ends early is reported one line past its last.
+# Blank lines and '#'-prefixed comments are ignored everywhere.  Only \n,
+# \r\n and \r end a line.  A reader parses inside a `ContentLines` block and
+# raises plain InvalidInputErrors; the block reports each as a
+# SequenceFormatError carrying its 1-based line number, and a file that ends
+# early one line past its last.
 # ---------------------------------------------------------------------------
 
 def header_lines(magic: str, instance: Instance) -> list[str]:
@@ -203,11 +209,21 @@ def write_lines(dest: Union[str, Path, IO[str]], lines: Iterable[str]) -> None:
         Path(dest).write_text(text)
 
 
-class ContentLines:
-    """Numbered content lines of a text file or stream.
+def _split_lines(text: str) -> list[str]:
+    """`text` cut at \\n, \\r\\n and \\r; a final break leaves an empty last piece."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
 
-    Iterating yields the remaining (line number, stripped line) pairs;
-    `take` returns the next one and fails at end of file.
+
+class ContentLines:
+    """Content lines of a text file or stream, read in a `with` block that
+    owns their numbers.
+
+    Iterating yields the remaining stripped lines; `take` returns the next
+    one and fails at end of file.  `line` is the number of the line last
+    handed out, or one past the last line once the file has ended; an
+    InvalidInputError leaving the block becomes a SequenceFormatError there.
     """
 
     def __init__(self, src: Union[str, Path, IO[str]]):
@@ -218,55 +234,57 @@ class ContentLines:
             try:
                 text = data.decode("utf-8")
             except UnicodeDecodeError as e:
-                # the bad byte's line, numbered as splitlines numbers them
-                line = len((data[:e.start].decode("utf-8") + "x").splitlines())
+                line = len(_split_lines(data[:e.start].decode("utf-8") + "x"))
                 raise SequenceFormatError("file is not UTF-8 text", line) from None
-        raw = text.splitlines()
-        self.end = len(raw) + 1  # where a missing line would have stood
-        self._lines = ((n, s) for n, s in enumerate((r.strip() for r in raw), start=1)
-                       if s and not s.startswith("#"))
+        self._lines = self._content(_split_lines(text))
 
-    def __iter__(self) -> Iterator[tuple[int, str]]:
+    def _content(self, raw: list[str]) -> Iterator[str]:
+        for self.line, s in enumerate(map(str.strip, raw), start=1):
+            if s and not s.startswith("#"):
+                yield s
+        self.line = len(raw) + bool(raw[-1])  # one past the last line
+
+    def __enter__(self) -> "ContentLines":
+        return self
+
+    def __exit__(self, kind, error, tb) -> None:
+        if isinstance(error, InvalidInputError) and not isinstance(error, SequenceFormatError):
+            raise SequenceFormatError(str(error), self.line) from error
+
+    def __iter__(self) -> Iterator[str]:
         return self._lines
 
-    def take(self, what: str) -> tuple[int, str]:
-        for item in self._lines:
-            return item
-        raise SequenceFormatError(f"unexpected end of file, expected {what}", self.end)
+    def take(self, what: str) -> str:
+        for line in self._lines:
+            return line
+        raise InvalidInputError(f"unexpected end of file, expected {what}")
 
-    def field(self, key: str, parse: Callable[[str], T]) -> tuple[int, T]:
+    def field(self, key: str, parse: Callable[[str], T]) -> T:
         """Parse the next line as `key=<value>`."""
-        lineno, line = self.take(f"{key}=...")
-        prefix = key + "="
-        if not line.startswith(prefix):
-            raise SequenceFormatError(f"expected '{prefix}...', got {line!r}", lineno)
-        try:
-            return lineno, parse(line[len(prefix):])
-        except InvalidInputError as e:
-            raise SequenceFormatError(str(e), lineno) from e
+        line = self.take(f"{key}=...")
+        if not line.startswith(key + "="):
+            raise InvalidInputError(f"expected '{key}=...', got {line!r}")
+        return parse(line[len(key) + 1:])
+
+    def header(self, magic: str) -> Instance:
+        """Parse the instance header; fields that disagree are reported on
+        the weights line, the header's last."""
+        line = self.take("header")
+        if line != magic:
+            raise InvalidInputError(f"bad header {line!r}, expected {magic!r}")
+        return Instance(self.field("k", parse_int), self.field("sizes", parse_ints),
+                        self.field("weights", parse_fractions))
 
 
-def read_header(lines: ContentLines, magic: str) -> Instance:
-    """Parse the instance header; fields that disagree are reported on the
-    weights line, the header's last."""
-    lineno, line = lines.take("header")
-    if line != magic:
-        raise SequenceFormatError(f"bad header {line!r}, expected {magic!r}", lineno)
-    _, k = lines.field("k", parse_int)
-    _, sizes = lines.field("sizes", parse_ints)
-    lineno, weights = lines.field("weights", parse_fractions)
-    try:
-        return Instance(k, sizes, weights)
-    except InvalidInputError as e:
-        raise SequenceFormatError(str(e), lineno) from e
+class Memo(dict):
+    """A dict that fills a missing key with `fn(key)` on first lookup."""
 
+    def __init__(self, fn: Callable):
+        self.fn = fn
 
-def parse_point(instance: Instance, text: str, lineno: int, what: str = "request") -> Config:
-    """A comma-separated point tuple of this instance, read on line `lineno`."""
-    try:
-        return instance.check_coords(parse_ints(text), what)
-    except InvalidInputError as e:
-        raise SequenceFormatError(str(e), lineno) from e
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 def write_sequence(dest: Union[str, Path, IO[str]], instance: Instance,
@@ -279,13 +297,7 @@ def write_sequence(dest: Union[str, Path, IO[str]], instance: Instance,
 def read_sequence(src: Union[str, Path, IO[str]]) -> tuple[Instance, list[Request]]:
     """Parse a sequence file: the header, then one request per line.  Each
     distinct text is parsed once, where it first occurs."""
-    lines = ContentLines(src)
-    instance = read_header(lines, SEQ_HEADER)
-    points: dict[str, Request] = {}
-    requests = []
-    for lineno, line in lines:
-        r = points.get(line)
-        if r is None:
-            r = points[line] = parse_point(instance, line, lineno)
-        requests.append(r)
-    return instance, requests
+    with ContentLines(src) as lines:
+        instance = lines.header(SEQ_HEADER)
+        points = Memo(lambda text: instance.check_coords(parse_ints(text)))
+        return instance, [points[line] for line in lines]

@@ -201,7 +201,6 @@ class WeightedAlgorithm:
     weight units (the first metric's rounded weight is 1).
     """
 
-    alg_id = "weighted"
     randomized = False
 
     def __init__(self, instance: Instance, start: Sequence[int] | None = None,

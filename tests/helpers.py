@@ -2,6 +2,7 @@
 builders of the program's own feasible family, and the text-file readers and
 writers that the program's per-call caches replaced."""
 
+import io
 import itertools
 import random
 from fractions import Fraction
@@ -9,16 +10,14 @@ from fractions import Fraction
 from gks.algorithms import TRANSCRIPT_HEADER, Step, next_family
 from gks.core import (
     SEQ_HEADER,
-    ContentLines,
     Instance,
     InvalidInputError,
     SequenceFormatError,
     format_fraction,
     parse_fraction,
+    parse_fractions,
     parse_int,
     parse_ints,
-    parse_point,
-    read_header,
     satisfies,
 )
 from gks.offline import _layers
@@ -274,12 +273,56 @@ class NaiveFamily:
 
 
 # Text files, read and written line by line and field by field, with every
-# point parsed or formatted where it stands.
+# line numbered by a plain loop and every point parsed or formatted where it
+# stands.
+
+def _numbered_lines(src):
+    """(line number, stripped line) of each content line, and the number one
+    past the last line.  Universal newlines end a line at \\n, \\r\\n or \\r
+    only."""
+    numbered, end = [], 1
+    for lineno, line in enumerate(io.StringIO(src.read(), newline=None), start=1):
+        line, end = line.strip(), lineno + 1
+        if line and not line.startswith("#"):
+            numbered.append((lineno, line))
+    return numbered, end
+
+
+def _at(lineno, parse, *args):
+    """`parse(*args)`, with an input error reported at line `lineno`."""
+    try:
+        return parse(*args)
+    except InvalidInputError as e:
+        raise SequenceFormatError(str(e), lineno) from e
+
+
+def _header(src, magic):
+    """The header's instance and the (line number, line) pairs after it."""
+    numbered, end = _numbered_lines(src)
+    if not numbered:
+        raise SequenceFormatError("unexpected end of file, expected header", end)
+    lineno, line = numbered[0]
+    if line != magic:
+        raise SequenceFormatError(f"bad header {line!r}, expected {magic!r}", lineno)
+    values = []
+    for i, (key, parse) in enumerate(
+            [("k", parse_int), ("sizes", parse_ints), ("weights", parse_fractions)], start=1):
+        if len(numbered) <= i:
+            raise SequenceFormatError(f"unexpected end of file, expected {key}=...", end)
+        lineno, line = numbered[i]
+        if not line.startswith(key + "="):
+            raise SequenceFormatError(f"expected '{key}=...', got {line!r}", lineno)
+        values.append(_at(lineno, parse, line[len(key) + 1:]))
+    return _at(lineno, Instance, *values), numbered[4:]
+
+
+def _point(instance, text):
+    return check_coords(instance, parse_ints(text))
+
 
 def read_sequence(src):
-    lines = ContentLines(src)
-    instance = read_header(lines, SEQ_HEADER)
-    return instance, [parse_point(instance, line, lineno) for lineno, line in lines]
+    instance, rows = _header(src, SEQ_HEADER)
+    return instance, [_at(lineno, _point, instance, line) for lineno, line in rows]
 
 
 def _fmt_tuple(t):
@@ -295,36 +338,35 @@ def transcript_lines(steps):
         ))
 
 
-def _read_state(instance, text, lineno, what):
-    try:
-        state = parse_ints(text)
-    except InvalidInputError as e:
-        raise SequenceFormatError(str(e), lineno) from e
+def _state(instance, text, what):
+    state = parse_ints(text)
     if len(state) != instance.k or min(state) < 0:
-        raise SequenceFormatError(
-            f"{what} {text!r} is not {instance.k} non-negative indices", lineno)
+        raise InvalidInputError(f"{what} {text!r} is not {instance.k} non-negative indices")
     return state
+
+
+def _row_fields(instance, line):
+    """A transcript row's nine fields, parsed left to right."""
+    parts = line.split("\t")
+    if len(parts) != 9:
+        raise InvalidInputError(f"expected 9 tab-separated fields, got {len(parts)}")
+    request = _point(instance, parts[2])
+    pre = _state(instance, parts[3], "pre-state")
+    post = _state(instance, parts[4], "post-state")
+    index, phase = parse_int(parts[0]), parse_int(parts[1])
+    cost = parse_fraction(parts[5])
+    fam_size, max_dim, max_count = map(parse_int, parts[6:])
+    return index, phase, request, pre, post, cost, fam_size, max_dim, max_count
 
 
 def read_transcript(src):
     """A transcript's rows, each taken at its word: no order checks."""
-    lines = ContentLines(src)
-    instance = read_header(lines, TRANSCRIPT_HEADER)
+    instance, rows = _header(src, TRANSCRIPT_HEADER)
     steps = []
     prev_phase = 0
-    for lineno, line in lines:
-        parts = line.split("\t")
-        if len(parts) != 9:
-            raise SequenceFormatError(f"expected 9 tab-separated fields, got {len(parts)}", lineno)
-        request = parse_point(instance, parts[2], lineno)
-        pre = _read_state(instance, parts[3], lineno, "pre-state")
-        post = _read_state(instance, parts[4], lineno, "post-state")
-        try:
-            index, phase = parse_int(parts[0]), parse_int(parts[1])
-            cost = parse_fraction(parts[5])
-            fam_size, max_dim, max_count = map(parse_int, parts[6:])
-        except InvalidInputError as e:
-            raise SequenceFormatError(str(e), lineno) from e
+    for lineno, line in rows:
+        index, phase, request, pre, post, cost, fam_size, max_dim, max_count = \
+            _at(lineno, _row_fields, instance, line)
         steps.append(Step(
             index=index, phase=phase, request=request, pre=pre, post=post,
             cost=int(cost) if cost.denominator == 1 else cost, family_size=fam_size,

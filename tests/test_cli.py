@@ -461,6 +461,18 @@ def test_certify_refuses_weighted_transcript(runner, tmp_path):
     assert_input_error(inline, "certificates apply to the uniform algorithms")
 
 
+def test_certify_refuses_unit_weight_weighted_transcript(runner, tmp_path):
+    # unit weights pass the weight check; the rows' empty families mark the
+    # run as weighted, and its long phases are no violation
+    transcript = tmp_path / "w.tsv"
+    result = runner.invoke(main, ["run", "--alg", "weighted", "--gen", "evasive", "--k", "2",
+                                  "--sizes", "2", "--weights", "1,1", "--steps", "200",
+                                  "--transcript-out", str(transcript)])
+    assert result.exit_code == 0, result.output
+    refused = runner.invoke(main, ["certify", "--transcript", str(transcript)])
+    assert_input_error(refused, "certificates apply to the uniform algorithms")
+
+
 def test_non_utf8_inputs_exit_1_at_their_line(runner, seq_file, tmp_path):
     lines = seq_file.read_bytes().splitlines()
     bad_seq = tmp_path / "bad.gks"

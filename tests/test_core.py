@@ -2,6 +2,7 @@
 
 import io
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gks.core import (
+    GKSError,
     Instance,
     InvalidInputError,
     SequenceFormatError,
@@ -194,6 +196,15 @@ def test_sequence_comments_and_blanks():
     ("gks-seq v1\nk=2\nsizes=2,2\nweights=1,1\n0,zebra\n", 5),
     ("gks-seq v1\nk=2\nsizes=2,2\nweights=1,1\n0,1\n0,2\n", 6),
     ("gks-seq v1\nk=2\n\n", 4),
+    # only \n, \r\n and \r end a line: a comment holding another line
+    # separator stays one ignored line, and CRLF and CR-only files read
+    ("gks-seq v1\nk=2\nsizes=2,2\nweights=1,1\n# page\fbreak\n0,1\n0,9\n", 7),
+    ("gks-seq v1\nk=2\nsizes=2,2\nweights=1,1\n# a\vb\x1cc\x85d\u2028e\u2029f\n0,1\n0,9\n", 7),
+    ("gks-seq v1\r\nk=2\r\nsizes=2,2\r\nweights=1,1\r\n0,1\r\n0,2\r\n", 6),
+    ("gks-seq v1\rk=2\rsizes=2,2\rweights=1,1\r0,1\r0,2\r", 6),
+    ("gks-seq v1\r\nk=2\r\n\r\n", 4),
+    ("gks-seq v1\rk=2\r\r", 4),
+    ("gks-seq v1\rk=2\n\r\nsizes=2,2\r\rweights=1,1\n0,1\r\n0,2", 8),
 ])
 def test_sequence_errors_carry_line_numbers(text, line):
     with pytest.raises(SequenceFormatError) as exc:
@@ -235,11 +246,23 @@ CERT = ("gks-cert v1\nk=1\nsizes=5\nweights=1\nl=2\n"
     (read_certificate, CERT.replace("A\n", "Z\n"), 9),
     (read_certificate, CERT + "5 5\n", 15),
     (read_certificate, CERT[:CERT.index("B")], 12),
+    (read_transcript, TSV_ROWS.replace("# step\t", "# step\f"), None),
+    (read_transcript, TSV_ROWS.replace("\n", "\r\n"), None),
+    (read_transcript, TSV_ROWS.replace("\n", "\r"), None),
+    (read_transcript, TSV_ROWS.replace("3\t1\t1,1,1", "7\t1\t1,1,1", 1).replace("\n", "\r"), 8),
+    (read_transcript, TSV_ROWS[:TSV_ROWS.index("sizes")].replace("\n", "\r\n"), 3),
+    (read_certificate, CERT.replace("l=2\n", "l=2\n# M\u2028A\x85B\n"), None),
+    (read_certificate, CERT.replace("\n", "\r\n"), None),
+    (read_certificate, CERT.replace("\n", "\r"), None),
+    (read_certificate, CERT.replace("1 3", "1 x").replace("\n", "\r\n"), 11),
+    (read_certificate, CERT[:CERT.index("B")].replace("\n", "\r"), 12),
 ], ids=["tsv-ok", "tsv-eof", "tsv-k", "tsv-range", "tsv-fields", "tsv-cost",
         "tsv-virtual-state", "tsv-negative-state", "tsv-state-width", "tsv-step-order",
         "tsv-phase-back", "tsv-phase-skip", "tsv-phase-zero", "tsv-negative-cost",
         "cert-ok", "cert-eof", "cert-k", "cert-l", "cert-width", "cert-int", "cert-label",
-        "cert-trailing", "cert-no-b"])
+        "cert-trailing", "cert-no-b", "tsv-form-feed-comment", "tsv-crlf", "tsv-cr",
+        "tsv-cr-step-order", "tsv-crlf-eof", "cert-separator-comment", "cert-crlf", "cert-cr",
+        "cert-crlf-int", "cert-cr-no-b"])
 def test_transcript_and_certificate_errors_carry_line_numbers(reader, text, line):
     if line is None:
         reader(io.StringIO(text))
@@ -247,6 +270,19 @@ def test_transcript_and_certificate_errors_carry_line_numbers(reader, text, line
     with pytest.raises(SequenceFormatError) as exc:
         reader(io.StringIO(text))
     assert exc.value.line == line
+
+
+def _all_subclasses(cls):
+    return [cls] + [c for sub in cls.__subclasses__() for c in _all_subclasses(sub)]
+
+
+@pytest.mark.parametrize("cls", _all_subclasses(GKSError), ids=lambda cls: cls.__name__)
+def test_errors_survive_pickling(cls):
+    # `gks run --jobs` workers hand errors back to the parent by pickle
+    error = cls("bad value", 3) if issubclass(cls, SequenceFormatError) else cls("bad value")
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is cls and str(copy) == str(error)
+    assert getattr(copy, "line", None) == getattr(error, "line", None)
 
 
 def _valid_files():

@@ -199,3 +199,21 @@ def test_non_utf8_file_is_a_format_error_at_its_line(tmp_path, reader, bad, newl
     path.write_bytes(newline.join(lines[:line - 1] + [bad] + lines[line:]) + newline)
     with pytest.raises(SequenceFormatError, match=f"^line {line}: file is not UTF-8 text$"):
         reader(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([read_sequence, read_transcript]), st.integers(0, 10**6),
+       st.sampled_from("\f\v\x1c\x1d\x1e\x85\u2028\u2029"), st.sampled_from(["\n", "\r\n", "\r"]),
+       st.booleans())
+def test_other_line_separators_read_alike(reader, pick, separator, newline, final_break):
+    """Only \\n, \\r\\n and \\r end a line: the reader and the oracle, which
+    numbers lines through universal newlines, agree on a file with another
+    separator inside one of its lines."""
+    oracle = {read_sequence: helpers.read_sequence, read_transcript: helpers.read_transcript}
+    lines = file_texts()[reader].splitlines()
+    i = pick % len(lines)
+    at = pick % (len(lines[i]) + 1)
+    lines[i] = lines[i][:at] + separator + lines[i][at:]
+    text = newline.join(lines) + (newline if final_break else "")
+    got, want = read_both(reader, oracle[reader], text)
+    assert got == want
