@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import getitem
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence, Union
 
@@ -164,7 +165,7 @@ class OnlineAlgorithm:
             self.phase += 1
             self.phase_summaries.append(PhaseSummary(self.phase))
 
-        post = self._serve(r, phase_start)
+        post = self._serve(r, phase_start, shrunk)
         if not satisfies(post, r):
             raise InvariantViolationError(f"post-state {post} does not satisfy request {r}")
         cost = 0 if post is pre else hamming(pre, post)  # staying put is free
@@ -190,7 +191,7 @@ class OnlineAlgorithm:
         self.finalize()
         return steps
 
-    def _serve(self, r: Request, phase_start: bool) -> Config:
+    def _serve(self, r: Request, phase_start: bool, shrunk: bool) -> Config:
         raise NotImplementedError
 
 
@@ -199,12 +200,48 @@ class GenericAlgorithm(OnlineAlgorithm):
 
     Ties go to the lexicographically smallest configuration, which keeps
     runs reproducible.
+
+    The move comes from an index of the phase's requests: `_cols[i][x]` has
+    bit t set when the phase's t-th indexed request has rᵢ = x.  Only the
+    requests that shrank the family are indexed; every other one is met by
+    every configuration still feasible, so the feasible configurations are
+    exactly those meeting every indexed request.  Each int is as wide as
+    the phase has shrinking requests, at most the number of configurations,
+    however long the phase runs.  Under a forced request the current
+    configuration meets every earlier indexed request and misses r at every
+    server, so a feasible configuration at distance 1 moves one server i
+    onto rᵢ.  It is feasible exactly when rᵢ meets every request that only
+    server i met.  The k candidates are tried in lexicographic order
+    (lowering moves by ascending i, then raising moves by descending i);
+    when none is feasible the move is the family's `nearest_member`.
     """
 
-    def _serve(self, r, phase_start):
-        if satisfies(self.current, r):
-            return self.current
-        return self.family.nearest_member(self.current)
+    def _serve(self, r, phase_start, shrunk):
+        if phase_start:
+            self._cols = [[0] * n for n in self.instance.sizes]
+            self._bit = 1
+        cols = self._cols
+        if shrunk:
+            bit = self._bit
+            for col, x in zip(cols, r):
+                col[x] |= bit
+            self._bit = bit << 1
+        cur = self.current
+        if satisfies(cur, r):
+            return cur
+        own = list(map(getitem, cols, cur))
+        seen = twice = 0
+        for o in own:
+            twice |= seen & o
+            seen |= o
+        k = len(cur)
+        for i in range(k):
+            if r[i] < cur[i] and not own[i] & ~(twice | cols[i][r[i]]):
+                return cur[:i] + (r[i],) + cur[i + 1:]
+        for i in reversed(range(k)):
+            if r[i] > cur[i] and not own[i] & ~(twice | cols[i][r[i]]):
+                return cur[:i] + (r[i],) + cur[i + 1:]
+        return self.family.nearest_member(cur)
 
 
 class _SpaceFollower(OnlineAlgorithm):
@@ -228,7 +265,7 @@ class _SpaceFollower(OnlineAlgorithm):
     def _adopted_count(self):
         return len(self._adopted)
 
-    def _serve(self, r, phase_start):
+    def _serve(self, r, phase_start, shrunk):
         if phase_start:
             self._adopted: set[int] = set()
         elif self._space_mask in self.family.spaces:

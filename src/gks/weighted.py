@@ -25,7 +25,6 @@ from .core import (
     Instance,
     InvalidInputError,
     InvariantViolationError,
-    Request,
     satisfies,
 )
 from .algorithms import Step, PhaseSummary

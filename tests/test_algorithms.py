@@ -2,9 +2,12 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gks.core import Instance, InvalidInputError, satisfies
 from gks.algorithms import (
@@ -17,9 +20,10 @@ from gks.algorithms import (
     transcript_lines,
     write_transcript,
 )
-from gks.adversaries import random_sequence, run_evasive
+from gks.adversaries import evasive_next, random_sequence, run_evasive
 
 from helpers import (
+    NaiveFamily,
     contains,
     exhaustive_feasible,
     family_union,
@@ -258,3 +262,82 @@ def test_transcript_roundtrip(tmp_path):
 def test_nearest_member_tie_break_is_lexicographic():
     # two patterns at equal cost: the lexicographically smaller member wins
     assert opened((0, 1), (3, 3)).nearest_member((2, 2)) == (0, 2)
+
+
+def det_moves_against_naive(sizes, steps, seed, evasive):
+    """Drive `det` and check every forced move against the naive family's
+    nearest member over the same phase.  Returns a Counter of the paths the
+    moves took: "lower" or "raise" for a distance-1 move, which the request
+    index finds ("lower tie" and "raise tie" when more than one server could
+    have moved), and "fallback" for a longer one."""
+    inst = Instance.make(sizes)
+    alg = GenericAlgorithm(inst, keep_transcript=False)
+    rng = random.Random(seed)
+    naive = None
+    paths = Counter()
+    for _ in range(steps):
+        cur = alg.current
+        r = evasive_next(inst, cur, rng) if evasive else \
+            tuple(rng.randrange(n) for n in sizes)
+        step = alg.serve(r)
+        if step.phase_start:
+            naive = NaiveFamily(r)
+        else:
+            naive.update(r)
+        if satisfies(cur, r):
+            continue
+        assert step.post == naive.nearest_member(cur)
+        near = [cur[:i] + (x,) + cur[i + 1:] for i, x in enumerate(r)]
+        near = sorted(q for q in near if any(contains(p, q) for p in naive.alive))
+        if not near:
+            paths["fallback"] += 1
+            continue
+        way = "lower" if near[0] < cur else "raise"
+        paths[way] += 1
+        if len(near) > 1:
+            paths[way + " tie"] += 1
+    return paths
+
+
+traffic = st.tuples(
+    st.lists(st.integers(2, 4), min_size=1, max_size=6),
+    st.integers(1, 80), st.integers(0, 2 ** 32 - 1), st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(traffic)
+def test_det_move_matches_naive_nearest_member(run):
+    det_moves_against_naive(*run)
+
+
+def test_det_move_differential_covers_every_path():
+    # the same check on fixed draws, which take the index's lowering and
+    # raising moves, ties both ways, and the fallback
+    rng = random.Random(17)
+    paths = Counter()
+    for trial in range(40):
+        sizes = [rng.randrange(2, 5) for _ in range(rng.randrange(2, 7))]
+        paths += det_moves_against_naive(sizes, 60, trial, trial % 2 == 1)
+    for path in ("lower", "raise", "lower tie", "raise tie", "fallback"):
+        assert paths[path] > 0, path
+
+
+@pytest.mark.parametrize("start, r, post", [
+    ((0, 0), (1, 1), (0, 1)),   # raising moves go by descending coordinate
+    ((2, 2), (1, 1), (1, 2)),   # lowering moves by ascending coordinate
+    ((1, 1), (0, 2), (0, 1)),   # a lowering move before a raising one
+])
+def test_det_distance_one_ties_are_lexicographic(start, r, post):
+    alg = GenericAlgorithm(Instance.uniform(2, 3), start=start)
+    assert alg.serve(r).post == post
+
+
+def test_det_index_width_is_the_phase_shrink_count():
+    # 10,000 requests the family already satisfies leave the index as wide
+    # as the phase's shrinking requests, not as long as the phase
+    alg = GenericAlgorithm(Instance.uniform(2, 3), keep_transcript=False)
+    for r in [(0, 0), (1, 1)] * 5000:
+        alg.serve(r)
+    summary, = alg.phase_summaries
+    assert summary.requests == 10_000 and summary.shrinks == 2
+    assert max(v.bit_length() for col in alg._cols for v in col) == summary.shrinks

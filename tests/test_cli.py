@@ -1,7 +1,6 @@
 """End-to-end tests of the command-line surface."""
 
 import json
-import re
 from fractions import Fraction
 
 import pytest
