@@ -319,8 +319,8 @@ def cmd_run(alg, seq_file, gen, steps, k, sizes, weights, seed, seeds, jobs,
 @main.command("opt")
 @click.option("--seq", "seq_file", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--start", type=str, default=None, help="Start configuration; defaults to all zeros")
-@click.option("--state-cap", type=int, default=10_000, show_default=True)
-@click.option("--work-cap", type=int, default=50_000_000, show_default=True,
+@click.option("--state-cap", type=click.IntRange(min=0), default=10_000, show_default=True)
+@click.option("--work-cap", type=click.IntRange(min=0), default=50_000_000, show_default=True,
               help="Cap on requests * k * (n1-1)*...*(nk-1), the box updates' work")
 @click.option("--trace-wf", is_flag=True, default=False,
               help="Also print the cheapest table value after every request; "

@@ -16,7 +16,10 @@ configurations that miss it:
   has some sⱼ = rⱼ, and q with qⱼ ← rⱼ serves r and is wⱼ closer to s.
 
 Box cells read only serving cells, so one request updates the table in
-place at O(k·∏(nᵢ − 1)); on two-point metrics the box is a single cell.
+place at O(k·∏(nᵢ − 1)).  On two-point metrics the box is a single cell:
+the configuration that flips every coordinate of r, at row-major index
+(N − 1) − Σ rᵢ·sᵢ for strides sᵢ.  Its k reads lie at ∓sᵢ from it, so such
+a request costs k reads and one write, and no box lists are built.
 Weights are scaled once by the common denominator, so every table is a list
 of exact Python ints and results come back as Fraction(value, scale).
 """
@@ -25,7 +28,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from itertools import repeat
+from operator import add, getitem, mul, sub
 from typing import Sequence
 
 from .core import Config, Instance, Request, ResourceLimitError
@@ -79,9 +83,7 @@ def _layers(instance: Instance, start: Config, requests: Sequence[Request],
         axes.append((offsets, [d for d in offsets for _ in range(inner)], n - 1, inner, outer))
         outer *= n - 1
 
-    yield 0, values, scale
-    for t, r in enumerate(requests, start=1):
-        instance.check_coords(r)
+    def box_step(r):
         box = [sum(map(mul, r, strides))]
         backs = []
         for (offsets, repeated, m, inner, outer), x in zip(axes, r):
@@ -92,7 +94,29 @@ def _layers(instance: Instance, start: Config, requests: Sequence[Request],
                       for back, w in zip(backs, weights)]
         for c, v in zip(box, map(min, zip(*candidates))):
             values[c] = v
+
+    # Instance refuses sizes below 2, so a largest size of 2 means two points everywhere
+    step = _two_point_step(values, strides, weights) if max(sizes) == 2 else box_step
+    yield 0, values, scale
+    for t, r in enumerate(requests, start=1):
+        instance.check_coords(r)
+        step(r)
         yield t, values, scale
+
+
+def _two_point_step(values: list[int], strides: Sequence[int], weights: Sequence[int]):
+    """The update for request r when every metric has two points: its box is
+    the one cell c = (N - 1) - Σ rᵢ·sᵢ that flips every coordinate of r, and
+    qᵢ ← rᵢ moves c by -sᵢ when rᵢ = 0 and by +sᵢ when rᵢ = 1."""
+    last = len(values) - 1
+    flips = [(s, -s) for s in strides]
+    read = values.__getitem__
+
+    def step(r):
+        c = last - sum(map(mul, r, strides))
+        values[c] = min(map(add, map(read, map(sub, repeat(c), map(getitem, flips, r))),
+                            weights))
+    return step
 
 
 def opt_cost(instance: Instance, start: Sequence[int], requests: Sequence[Request],

@@ -76,14 +76,32 @@ def naive_layers(instance: Instance, start, requests):
     """
     configs = all_configs(instance.sizes)
     weights = instance.weights
+    dist = {(a, b): weighted_distance(a, b, weights) for a in configs for b in configs}
     layer = {q: weighted_distance(tuple(start), q, weights) for q in configs}
     layers = [layer]
     for r in requests:
         serving = [s for s in configs if satisfies(s, r)]
-        layer = {q: min(layer[s] + weighted_distance(s, q, weights) for s in serving)
-                 for q in configs}
+        layer = {q: min(layer[s] + dist[s, q] for s in serving) for q in configs}
         layers.append(layer)
     return layers
+
+
+def two_point_layers(instance: Instance, start, requests):
+    """Yield the work-function table after 0..T requests on two-point
+    metrics, as a dict from configuration tuple to exact cost, by the box
+    rule: request r rewrites only the configuration q that flips every
+    coordinate of r, as minⱼ (table at q with qⱼ ← rⱼ) + wⱼ.  The one dict is
+    updated in place, so read it before advancing."""
+    if any(n != 2 for n in instance.sizes):
+        raise ValueError(f"sizes {instance.sizes} are not all two")
+    weights = instance.weights
+    layer = {q: weighted_distance(tuple(start), q, weights)
+             for q in all_configs(instance.sizes)}
+    yield layer
+    for r in requests:
+        q = tuple(1 - x for x in r)
+        layer[q] = min(layer[q[:j] + (r[j],) + q[j + 1:]] + w for j, w in enumerate(weights))
+        yield layer
 
 
 def work_function_layer(instance: Instance, start, requests, t,

@@ -180,6 +180,18 @@ def test_opt_resource_cap_exit(runner, seq_file):
     assert result.exit_code == 3
 
 
+def test_opt_negative_caps_are_usage_errors(runner, seq_file):
+    # a negative cap is a malformed flag, not a resource limit (exit 3)
+    for flag, value in (("--state-cap", "-1"), ("--work-cap", "-5")):
+        result = runner.invoke(main, ["opt", "--seq", str(seq_file), flag, value])
+        assert result.exit_code == 1, (flag, result.output)
+        assert f"'{flag}'" in result.stderr and "exceeds cap" not in result.stderr
+    # a zero cap is a valid flag that no instance fits
+    result = runner.invoke(main, ["opt", "--seq", str(seq_file), "--state-cap", "0"])
+    assert result.exit_code == 3
+    assert "state space 4 exceeds cap 0" in result.stderr
+
+
 def test_opt_default_caps_cover_k4_n5_t300(runner, tmp_path):
     # 625 states and 300 requests: 307,200 units of T·k·∏(nᵢ − 1) work
     inst = Instance.uniform(4, 5)

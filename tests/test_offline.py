@@ -16,6 +16,7 @@ from helpers import (
     all_configs,
     brute_force_opt,
     naive_layers,
+    two_point_layers,
     weighted_distance,
     work_function_layer,
 )
@@ -134,16 +135,21 @@ def offline_cases(draw):
     return Instance.make(sizes, weights), draw(point), draw(st.lists(point, max_size=25))
 
 
-@settings(max_examples=100, deadline=None)
-@given(offline_cases())
-def test_layers_match_naive_definition(case):
-    inst, start, seq = case
+def check_against_naive_layers(inst, start, seq):
+    """Every layer, the minima and the optimum against `naive_layers`."""
     layers = naive_layers(inst, start, seq)
     for t, layer in enumerate(layers):
         assert work_function_layer(inst, start, seq, t) == layer
     minima = [min(layer.values()) for layer in layers]
     assert work_function_minima(inst, start, seq) == minima
     assert opt_cost(inst, start, seq) == minima[-1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(offline_cases())
+def test_layers_match_naive_definition(case):
+    inst, start, seq = case
+    check_against_naive_layers(inst, start, seq)
     # explicit trajectories, while their number stays small
     if len(seq) <= 4 and inst.state_count() ** len(seq) <= 50_000:
         assert opt_cost(inst, start, seq) == brute_force_opt(inst, start, seq)
@@ -182,3 +188,36 @@ def test_two_point_layers_match_naive_definition(k, unit):
     for t, layer in enumerate(layers):
         assert work_function_layer(inst, start, seq, t) == layer
     assert opt_cost(inst, start, seq) == min(layers[-1].values())
+
+
+@st.composite
+def two_point_cases(draw):
+    """An instance with k <= 7, every metric of two points and positive
+    rational weights, any start and up to 25 requests."""
+    k = draw(st.integers(1, 7))
+    weights = draw(st.lists(st.builds(Fraction, st.integers(1, 30), st.integers(1, 8)),
+                            min_size=k, max_size=k))
+    point = st.tuples(*(st.integers(0, 1) for _ in range(k)))
+    return Instance.make([2] * k, weights), draw(point), draw(st.lists(point, max_size=25))
+
+
+@settings(max_examples=30, deadline=None)
+@given(two_point_cases())
+def test_two_point_step_matches_naive_definition(case):
+    # offline_cases rarely draws every size 2 at k >= 4, where the
+    # two-point step runs
+    check_against_naive_layers(*case)
+
+
+@pytest.mark.parametrize("k", [10, 11, 12, 13])
+def test_two_point_step_matches_tuple_box_rule_at_large_k(k):
+    rng = random.Random(k)
+    inst = Instance.make([2] * k, [Fraction(rng.randint(1, 9), rng.randint(1, 4))
+                                   for _ in range(k)])
+    start = tuple(rng.randrange(2) for _ in range(k))
+    seq = random_sequence(inst, 30, seed=k)
+    minima = [min(layer.values()) for layer in two_point_layers(inst, start, seq)]
+    assert work_function_minima(inst, start, seq) == minima
+    # the generator has finished, so its one table is the last layer
+    *_, last = two_point_layers(inst, start, seq)
+    assert work_function_layer(inst, start, seq, len(seq)) == last
