@@ -140,15 +140,11 @@ class OnlineAlgorithm:
         summary.complete = complete
         summary.created_by_dim = fam.created_by_dimension()
         summary.duplicate_creations = fam.duplicate_creations
-        summary.adopted_spaces = self._adopted_count()
 
     def finalize(self) -> None:
         """Fill in the summary of the trailing (incomplete) phase."""
         if self.phase_summaries:
             self._close_phase(complete=False)
-
-    def _adopted_count(self) -> int | None:
-        return None
 
     def serve(self, r: Sequence[int]) -> Step:
         r = self.instance.check_coords(r)
@@ -186,10 +182,10 @@ class OnlineAlgorithm:
             self.transcript.append(step)
         return step
 
-    def run(self, requests: Iterable[Sequence[int]]) -> list[Step]:
-        steps = [self.serve(r) for r in requests]
+    def run(self, requests: Iterable[Sequence[int]]) -> None:
+        for r in requests:
+            self.serve(r)
         self.finalize()
-        return steps
 
     def _serve(self, r: Request, phase_start: bool, shrunk: bool) -> Config:
         raise NotImplementedError
@@ -219,13 +215,12 @@ class GenericAlgorithm(OnlineAlgorithm):
     def _serve(self, r, phase_start, shrunk):
         if phase_start:
             self._cols = [[0] * n for n in self.instance.sizes]
-            self._bit = 1
         cols = self._cols
         if shrunk:
-            bit = self._bit
+            # the phase's shrinks so far, before `serve` counts this one
+            bit = 1 << self.phase_summaries[-1].shrinks
             for col, x in zip(cols, r):
                 col[x] |= bit
-            self._bit = bit << 1
         cur = self.current
         if satisfies(cur, r):
             return cur
@@ -250,7 +245,9 @@ class _SpaceFollower(OnlineAlgorithm):
     Stays put while the adopted pattern survives the update; once any of its
     members turns infeasible the whole pattern is treated as lost and a new
     one is chosen, even if the occupied configuration itself stayed feasible.
-    A new phase always chooses a new pattern.
+    A new phase always chooses a new pattern.  A lost pattern is destroyed
+    and never re-created, so each choice adopts a new one and counts once in
+    the phase's `adopted_spaces`.
     """
 
     _space_mask: int | None = None
@@ -262,16 +259,12 @@ class _SpaceFollower(OnlineAlgorithm):
             return None
         return self.family.pattern(self._space_mask)
 
-    def _adopted_count(self):
-        return len(self._adopted)
-
     def _serve(self, r, phase_start, shrunk):
-        if phase_start:
-            self._adopted: set[int] = set()
-        elif self._space_mask in self.family.spaces:
+        if not phase_start and self._space_mask in self.family.spaces:
             return self.current
+        summary = self.phase_summaries[-1]
+        summary.adopted_spaces = 1 if phase_start else summary.adopted_spaces + 1
         self._space_mask = space = self._choose()
-        self._adopted.add(space)
         return self.family.pattern(space, self.current)
 
 
@@ -344,14 +337,12 @@ class DistributionTracker:
         self.family: FeasibleFamily | None = None
         self._masses: dict[int, Fraction] = {}  # maximal mask -> probability
         self.phase = 0
-        self._m = -1
-        self._index = 0
         self.steps: list[TrackerStep] = []
 
     def step(self, r: Sequence[int]) -> TrackerStep:
         r = self.instance.check_coords(r)
-        self._index += 1
-        m_prev, size_prev = self._m, len(self._masses)
+        m_prev = self.steps[-1].m_cur if self.steps else -1
+        size_prev = len(self._masses)
         self.family, phase_start, _ = next_family(self.family, r, self.instance.sizes)
         if phase_start:
             self.phase += 1
@@ -362,11 +353,10 @@ class DistributionTracker:
         p_move = 1 - sum(kept.values(), Fraction(0))
         share = p_move / len(top)
         self._masses = {p: kept.get(p, Fraction(0)) + share for p in top}
-        self._m = m
 
         patterns = tuple(map(self.family.pattern, top))
         rec = TrackerStep(
-            index=self._index, phase=self.phase, phase_start=phase_start,
+            index=len(self.steps) + 1, phase=self.phase, phase_start=phase_start,
             m_prev=m_prev, size_prev=size_prev, m_cur=m, size_cur=len(top),
             destroyed_maximal=size_prev - len(kept), p_move=p_move,
             patterns=patterns, masses=dict(zip(patterns, self._masses.values())),

@@ -128,18 +128,18 @@ def _write_report(report: dict, out: str | None):
         click.echo(text)
 
 
-def _build_algorithm(alg: str, instance: Instance, seed: int, start):
+def _build_algorithm(alg: str, instance: Instance, seed: int, start, keep_transcript: bool):
     if alg == "weighted":
-        return WeightedAlgorithm(instance, start=start)
+        return WeightedAlgorithm(instance, start=start, keep_transcript=keep_transcript)
     cls = ALGORITHMS[alg]
     if cls is RandomizedAlgorithm:
-        return cls(instance, seed, start=start)
-    return cls(instance, start=start)
+        return cls(instance, seed, start=start, keep_transcript=keep_transcript)
+    return cls(instance, start=start, keep_transcript=keep_transcript)
 
 
 def _execute_run(alg: str, instance: Instance, requests, gen: str | None,
-                 steps: int, seed: int, start) -> tuple:
-    algorithm = _build_algorithm(alg, instance, seed, start)
+                 steps: int, seed: int, start, keep_transcript: bool) -> tuple:
+    algorithm = _build_algorithm(alg, instance, seed, start, keep_transcript)
     if requests is not None:
         algorithm.run(requests)
         seq = requests
@@ -175,15 +175,16 @@ def _run_report(alg, instance, algorithm, seq, seed, opt, certificates, wall) ->
     return report
 
 
-def _run_one(alg: str, instance: Instance, requests, gen, steps, seed, start,
-             with_opt: bool, with_certify: bool) -> tuple[dict, object, list]:
+def _run_one(alg: str, instance: Instance, requests, gen, steps, seed, start, with_opt: bool,
+             with_certify: bool, keep_transcript: bool) -> tuple[dict, object, list]:
     """One complete run: (report, algorithm, served sequence).
 
     The report's wall clock covers the run, certification and the optimum,
     not file writes.
     """
     t0 = time.perf_counter()
-    algorithm, seq = _execute_run(alg, instance, requests, gen, steps, seed, start)
+    algorithm, seq = _execute_run(alg, instance, requests, gen, steps, seed, start,
+                                  keep_transcript)
     certificates = None
     if with_certify:
         results = certify_transcript(instance, algorithm.transcript)
@@ -282,8 +283,9 @@ def cmd_run(alg, seq_file, gen, steps, k, sizes, weights, seed, seeds, jobs,
         # an optimum out of reach is refused before serving; the optimum of
         # no requests is 0 whatever the caps
         check_caps(instance, n_requests)
-    tasks = [(alg, instance, requests, gen, steps, s, start_cfg, with_opt, with_certify)
-             for s in seed_list]
+    keep_transcript = with_certify or transcript_out is not None
+    tasks = [(alg, instance, requests, gen, steps, s, start_cfg, with_opt, with_certify,
+              keep_transcript) for s in seed_list]
 
     if len(tasks) == 1:
         report, algorithm, seq = _run_one(*tasks[0])
@@ -360,7 +362,7 @@ def cmd_duel(alg, adversary, k, rounds, seed, start, out, dump_seq):
     check_caps(instance, rounds * (2 ** k - 1))
     start_cfg = _parse_tuple(start, instance, "start configuration") if start else None
     t0 = time.perf_counter()
-    algorithm = _build_algorithm(alg, instance, seed, start_cfg)
+    algorithm = _build_algorithm(alg, instance, seed, start_cfg, keep_transcript=False)
     result = run_closed_loop(algorithm, rounds)
     opt = opt_cost(instance, start_cfg or (0,) * k, result.requests)
     wall = round(time.perf_counter() - t0, 6)
@@ -393,7 +395,8 @@ def cmd_certify(transcript_file, alg, seq_file, seed, cert_out):
         if seq_file is None:
             _fail(EXIT_INPUT, "--alg needs --seq")
         instance, requests = read_sequence(seq_file)
-        algorithm, _ = _execute_run(alg, instance, requests, None, 0, seed, None)
+        algorithm, _ = _execute_run(alg, instance, requests, None, 0, seed, None,
+                                    keep_transcript=True)
         steps = algorithm.transcript
     results = certify_transcript(instance, steps)
     all_ok = True

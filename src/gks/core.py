@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from operator import eq, ne
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar, Union
@@ -110,15 +109,14 @@ class Instance:
         return math.prod(self.sizes)
 
     def check_coords(self, t: Sequence[int], what: str = "request") -> Config:
-        """Validate a request/configuration against this instance."""
+        """Validate a request/configuration: ints, never bools, in range."""
         t = tuple(t)
         if len(t) != self.k:
             raise InvalidInputError(f"{what} has {len(t)} coordinates, expected {self.k}")
-        if not (all(map(isinstance, t, repeat(int)))
-                and all(map(range.__contains__, self._ranges, t))):
+        if not ({*map(type, t)} == {int} and all(map(range.__contains__, self._ranges, t))):
             # find the first bad coordinate for the message
             for i, (x, n) in enumerate(zip(t, self.sizes)):
-                if not isinstance(x, int) or not 0 <= x < n:
+                if type(x) is not int or not 0 <= x < n:
                     raise InvalidInputError(f"{what} coordinate {i} = {x!r} out of range [0, {n})")
         return t
 

@@ -138,8 +138,10 @@ def work_function_minima(instance: Instance, start: Sequence[int],
     """Cheapest table value after 0..T requests, in one forward pass.
 
     Each minimum scans the whole table, so besides the box work the T·N
-    cells scanned must fit `work_cap` too."""
-    start = tuple(start)
+    cells scanned must fit `work_cap` too; no requests need no table."""
+    instance.check_coords(start, what="start configuration")
+    if not requests:
+        return [Fraction(0)]
     check_caps(instance, len(requests), state_cap, work_cap)
     scan = len(requests) * instance.state_count()
     if scan > work_cap:

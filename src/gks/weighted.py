@@ -154,9 +154,14 @@ class LevelPhaseRecord:
 
 
 class _Level:
+    """One level's state.  `counts` tallies the open subphase's counted
+    requests per point, so its sum is also what the bottom server spent
+    below, at actual and charged weight 1 each; `lower_actual` and
+    `lower_charged` gather what levels 2 and up spend, until the close."""
+
     __slots__ = (
         "i", "w", "c", "m", "n_real", "pos", "opened", "lower_phases",
-        "req_in_subphase", "counts", "lower_actual", "lower_charged", "record",
+        "counts", "lower_actual", "lower_charged", "record",
         "completed_phases", "phase_records", "keep_counts",
     )
 
@@ -186,7 +191,6 @@ class _Level:
         self._reset_subphase()
 
     def _reset_subphase(self):
-        self.req_in_subphase = 0
         self.counts = {}
         self.lower_actual = 0
         self.lower_charged = 0
@@ -225,7 +229,6 @@ class WeightedAlgorithm:
         self._lvl1 = self._levels[0]
         self._upper = self._levels[1:]
         self._top = self._levels[-1]
-        self._lvl1_req_in_phase = 0
         self._current: Config = start
 
         self.total_cost = 0
@@ -233,8 +236,6 @@ class WeightedAlgorithm:
         self.counted = 0
         self.transcript: list[Step] | None = [] if keep_transcript else None
         self.phase_summaries: list[PhaseSummary] = []
-        self._summary: PhaseSummary | None = None  # the open top-level phase's
-        self._step_index = 0
 
     # -- public surface -----------------------------------------------------
 
@@ -249,16 +250,15 @@ class WeightedAlgorithm:
     def serve(self, r: Sequence[int]) -> Step:
         r = self.instance.check_coords(r)
         pre = self._current
-        self._step_index += 1
         top_phase = self._top.completed_phases + 1
-        summary = self._summary
-        if summary is None:
-            summary = self._summary = PhaseSummary(top_phase)
-            self.phase_summaries.append(summary)
+        summaries = self.phase_summaries
+        if not summaries or summaries[-1].complete:
+            summaries.append(PhaseSummary(top_phase))
+        summary = summaries[-1]
 
         if satisfies(pre, r):
             self.filtered += 1
-            step = Step(self._step_index, top_phase, r, pre, pre, 0, 0, 0, 0,
+            step = Step(self.counted + self.filtered, top_phase, r, pre, pre, 0, 0, 0, 0,
                         False, False, False)
             if self.transcript is not None:
                 self.transcript.append(step)
@@ -279,21 +279,16 @@ class WeightedAlgorithm:
             if not level.opened:
                 level.opened = True
                 self._propagate(level.i, actual=0, charged=level.w)
-            # per-subphase tally of what the metric is asked for
+            # per-subphase tally of what the metric is asked for, which also
+            # counts the bottom server's moves below (see `_Level`)
             level.counts[p] = level.counts.get(p, 0) + 1
-            level.req_in_subphase += 1
-            # the bottom server's move below, at actual and charged weight 1
-            level.lower_actual += 1
-            level.lower_charged += 1
 
         # the bottom server chases its coordinate on every counted request
         lvl1.pos = r[0]
         cost = 1
         self.total_cost += 1
 
-        self._lvl1_req_in_phase += 1
-        if self._lvl1_req_in_phase == self.phase_len_1:
-            self._lvl1_req_in_phase = 0
+        if self.counted % self.phase_len_1 == 0:
             lvl1.completed_phases += 1
             cost += self._cascade(2)
             post = tuple(level.pos for level in self._levels)
@@ -302,7 +297,7 @@ class WeightedAlgorithm:
         self._current = post
 
         moved = post != pre
-        step = Step(self._step_index, top_phase, r, pre, post, cost, 0, 0, 0,
+        step = Step(self.counted + self.filtered, top_phase, r, pre, post, cost, 0, 0, 0,
                     moved, False, phase_start)
         summary.moves += moved
         summary.cost += cost
@@ -311,13 +306,12 @@ class WeightedAlgorithm:
         if self._top.completed_phases == top_phase:
             # the top level completed its phase on this request
             summary.complete = True
-            self._summary = None
         return step
 
-    def run(self, requests) -> list[Step]:
-        steps = [self.serve(r) for r in requests]
+    def run(self, requests) -> None:
+        for r in requests:
+            self.serve(r)
         self.finalize()
-        return steps
 
     def finalize(self) -> None:
         """Nothing to close: the open phase's summary is counted as it runs."""
@@ -325,7 +319,8 @@ class WeightedAlgorithm:
     # -- internals ----------------------------------------------------------
 
     def _propagate(self, from_level: int, actual: int, charged: int) -> None:
-        """Account a cost event into every strictly higher level's subphase."""
+        """Account a cost of level `from_level` (2 or up) into every strictly
+        higher level's subphase."""
         for level in self._levels[from_level:]:
             level.lower_actual += actual
             level.lower_charged += charged
@@ -339,8 +334,13 @@ class WeightedAlgorithm:
         if level.lower_phases < level.m:
             return 0
 
-        # subphase boundary: the level's weight has been spent below, exactly
+        # subphase boundary: the level's weight has been spent below, exactly,
+        # the bottom server's one move per counted request included
         level.lower_phases = 0
+        counts, c = level.counts, level.c
+        nreq = sum(counts.values())
+        level.lower_actual += nreq
+        level.lower_charged += nreq
         if level.lower_charged != level.w:
             raise InvariantViolationError(
                 f"level {i} subphase closed at charged cost {level.lower_charged}, "
@@ -352,7 +352,6 @@ class WeightedAlgorithm:
                 f"above its charged cost {level.lower_charged}"
             )
         rec = level.record
-        nreq, counts, c = level.req_in_subphase, level.counts, level.c
         rec.requests.append(nreq)
         rec.lower_actual.append(level.lower_actual)
         rec.lower_charged.append(level.lower_charged)

@@ -25,12 +25,13 @@ from gks.spaces import FeasibleFamily
 
 
 def check_coords(instance: Instance, t, what="request"):
-    """A request or configuration checked coordinate by coordinate."""
+    """A request or configuration checked coordinate by coordinate; a bool
+    is no coordinate."""
     t = tuple(t)
     if len(t) != instance.k:
         raise InvalidInputError(f"{what} has {len(t)} coordinates, expected {instance.k}")
     for i, (x, n) in enumerate(zip(t, instance.sizes)):
-        if not isinstance(x, int) or not 0 <= x < n:
+        if type(x) is not int or not 0 <= x < n:
             raise InvalidInputError(f"{what} coordinate {i} = {x!r} out of range [0, {n})")
     return t
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -153,6 +154,30 @@ def test_alternative_adopted_spaces_bound():
         bound = sum(math.factorial(k) // math.factorial(d) for d in range(k))
         for ps in alg.phase_summaries:
             assert ps.adopted_spaces <= bound <= 3 * math.factorial(k)
+
+
+def test_run_without_transcript_keeps_no_steps():
+    # `run` without a transcript peaks no higher than serving one request at
+    # a time; a list of the run's steps would add over 100 bytes a request
+    inst = Instance.uniform(3, 3)
+    seq = random_sequence(inst, 5000, seed=12)
+
+    def peak(drive):
+        alg = GenericAlgorithm(inst, keep_transcript=False)
+        tracemalloc.start()
+        try:
+            drive(alg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def serve_each(alg):
+        for r in seq:
+            alg.serve(r)
+        alg.finalize()
+
+    assert GenericAlgorithm(inst, keep_transcript=False).run(seq) is None
+    assert peak(lambda alg: alg.run(seq)) < peak(serve_each) + 8 * len(seq)
 
 
 def test_randomized_single_maximal_space_is_forced():

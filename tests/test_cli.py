@@ -229,6 +229,37 @@ def test_opt_trace_wf_counts_the_minimum_scan(runner, tmp_path):
     assert "minimum scan 102400 (= 100 * 1024)" in result.stderr
 
 
+def test_opt_trace_wf_of_no_requests_is_zero(runner, tmp_path):
+    # 1,953,125 states: over the state cap, but an empty sequence needs no table
+    path = tmp_path / "e.gks"
+    write_sequence(path, Instance.uniform(9, 5), [])
+    for extra in ([], ["--trace-wf"]):
+        result = runner.invoke(main, ["opt", "--seq", str(path)] + extra)
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines()[-1] == "0"
+
+
+def test_run_reports_match_with_and_without_kept_transcript(runner, tmp_path):
+    # a run without --certify or --transcript-out keeps no per-request rows;
+    # its report must not notice
+    runs = {
+        "det": ["--gen", "random", "--k", "3", "--sizes", "3"],
+        "alt": ["--gen", "random", "--k", "3", "--sizes", "3"],
+        "rand": ["--gen", "evasive", "--k", "3", "--sizes", "2,3,4"],
+        "weighted": ["--gen", "evasive", "--k", "2", "--sizes", "3", "--weights", "1,7"],
+    }
+    for alg, flags in runs.items():
+        args = ["run", "--alg", alg, "--steps", "400", "--seed", "3", "--opt"] + flags
+        texts = []
+        for extra in ([], ["--transcript-out", str(tmp_path / f"{alg}.tsv")]):
+            result = runner.invoke(main, args + extra)
+            assert result.exit_code == 0, result.output
+            texts.append([line for line in result.stdout.splitlines()
+                          if '"wall_clock_sec"' not in line])
+        assert texts[0] == texts[1], alg
+        assert (tmp_path / f"{alg}.tsv").stat().st_size > 0
+
+
 def test_malformed_sequence_exit_and_line(runner, tmp_path):
     bad = tmp_path / "bad.gks"
     bad.write_text("gks-seq v1\nk=2\nsizes=2,2\nweights=1,1\n0,7\n")

@@ -160,6 +160,16 @@ def test_instance_validation():
         inst.check_coords((0,))
 
 
+def test_bool_coordinates_are_refused():
+    # a bool would be written as `True`, which no reader takes back
+    inst = Instance.uniform(2, 3)
+    for t in ((True, 0), (0, False)):
+        with pytest.raises(InvalidInputError, match="= (True|False) out of range"):
+            GenericAlgorithm(inst).serve(t)
+        with pytest.raises(InvalidInputError, match="= (True|False) out of range"):
+            check_coords(inst, t)
+
+
 def test_sequence_roundtrip(tmp_path):
     inst = Instance.make([2, 3], [1, "7/2"])
     reqs = [(0, 2), (1, 0), (1, 1)]

@@ -36,6 +36,14 @@ def test_zero_when_start_satisfies_everything():
         opt_cost(Instance.uniform(2, 2), (9, 9), [])
 
 
+def test_minima_of_no_requests_need_no_table():
+    # 1,953,125 states, far over the state cap, but no request reads them
+    inst = Instance.uniform(9, 5)
+    assert work_function_minima(inst, (0,) * 9, []) == [0]
+    with pytest.raises(InvalidInputError, match="start configuration"):
+        work_function_minima(inst, (5,) * 9, [])
+
+
 def test_alternating_requests_one_move():
     inst = Instance.uniform(2, 2)
     seq = [(1, 1), (0, 0), (1, 1), (0, 0)]

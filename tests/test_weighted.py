@@ -117,12 +117,17 @@ def test_filtered_requests_change_nothing():
     counted = alg.counted
     cost = alg.total_cost
     level2 = alg._levels[1]
-    snapshot = (level2.req_in_subphase, dict(level2.counts), level2.completed_subphases)
+
+    def snapshot():
+        return (dict(level2.counts), level2.lower_actual, level2.lower_charged,
+                level2.completed_subphases)
+
+    before = snapshot()
     step = alg.serve((alg.current[0], 0))  # satisfied via the bottom server
     assert step.cost == 0 and not step.moved
     assert alg.counted == counted and alg.filtered == 1
     assert alg.total_cost == cost
-    assert (level2.req_in_subphase, level2.counts, level2.completed_subphases) == snapshot
+    assert snapshot() == before
 
 
 def test_two_level_anatomy_default_constants():
