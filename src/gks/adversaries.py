@@ -29,8 +29,7 @@ def antipodal_next(instance: Instance, current: Sequence[int]) -> Request:
         raise InvalidInputError(
             f"antipodal adversary requires every metric to have 2 points, got {instance.sizes}"
         )
-    current = instance.check_coords(current, what="configuration")
-    return tuple(1 - x for x in current)
+    return tuple(map((1).__sub__, instance.check_coords(current, what="configuration")))
 
 
 def evasive_next(instance: Instance, current: Sequence[int],

@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import eq, ne
+from itertools import chain
+from operator import contains, eq, ne
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar, Union
+from typing import IO, Callable, Iterable, Iterator, NoReturn, Sequence, TypeVar, Union
 
 Config = tuple[int, ...]
 Request = tuple[int, ...]
@@ -59,6 +60,7 @@ class CertificateImpossibleError(GKSError):
 
 WeightLike = Union[int, str, Fraction]
 T = TypeVar("T")
+_INT = frozenset({int})  # the one coordinate type; a bool or an int subclass is not it
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,8 @@ class Instance:
                 raise InvalidInputError(f"metric {i}: point count must be an int >= 2, got {n!r}")
         for i, w in enumerate(self.weights):
             if not isinstance(w, Fraction) or w <= 0:
-                raise InvalidInputError(f"metric {i}: weight must be a positive Fraction, got {w!r}")
+                shown = format_fraction(w) if isinstance(w, Fraction) else repr(w)
+                raise InvalidInputError(f"metric {i}: weight must be a positive Fraction, got {shown}")
         # not a field: equality, hash and repr stay those of (k, sizes, weights)
         object.__setattr__(self, "_ranges", tuple(range(n) for n in self.sizes))
 
@@ -109,32 +112,48 @@ class Instance:
         return math.prod(self.sizes)
 
     def check_coords(self, t: Sequence[int], what: str = "request") -> Config:
-        """Validate a request/configuration: ints, never bools, in range."""
+        """Validate a request/configuration as a tuple of k coordinates, each
+        of type exactly `int` (no bool or other subclass) with 0 <= xᵢ < nᵢ."""
         t = tuple(t)
         if len(t) != self.k:
             raise InvalidInputError(f"{what} has {len(t)} coordinates, expected {self.k}")
-        if not ({*map(type, t)} == {int} and all(map(range.__contains__, self._ranges, t))):
+        if not (_INT.issuperset(map(type, t)) and all(map(contains, self._ranges, t))):
             # find the first bad coordinate for the message
             for i, (x, n) in enumerate(zip(t, self.sizes)):
                 if type(x) is not int or not 0 <= x < n:
                     raise InvalidInputError(f"{what} coordinate {i} = {x!r} out of range [0, {n})")
         return t
 
+    def check_requests(self, requests: Sequence[Request]) -> None:
+        """`check_coords` over a whole list in C-level passes (lengths, types,
+        columns); on a failure it walks the list to name the first bad one."""
+        try:
+            ok = (set(map(len, requests)) == {self.k}
+                  and _INT.issuperset(map(type, chain.from_iterable(requests)))
+                  and all(min(col) >= 0 and max(col) < n
+                          for col, n in zip(zip(*requests), self.sizes)))
+        except (TypeError, ValueError):  # a request that is no sized sequence
+            ok = False
+        if not ok:
+            for r in requests:
+                self.check_coords(r)
 
-def _check_len(a: Sequence[int], b: Sequence[int]) -> None:
-    if len(a) != len(b):
-        raise InvalidInputError(f"coordinate count mismatch: {len(a)} vs {len(b)}")
+
+def _raise_len_mismatch(a: Sequence[int], b: Sequence[int]) -> NoReturn:
+    raise InvalidInputError(f"coordinate count mismatch: {len(a)} vs {len(b)}")
 
 
 def satisfies(q: Config, r: Request) -> bool:
     """True iff some server already sits on its requested point."""
-    _check_len(q, r)
+    if len(q) != len(r):
+        _raise_len_mismatch(q, r)
     return any(map(eq, q, r))
 
 
 def hamming(a: Config, b: Config) -> int:
     """Number of coordinates where the two configurations differ."""
-    _check_len(a, b)
+    if len(a) != len(b):
+        _raise_len_mismatch(a, b)
     return sum(map(ne, a, b))
 
 

@@ -62,6 +62,7 @@ def _layers(instance: Instance, start: Config, requests: Sequence[Request],
     table is updated in place, so read it before advancing."""
     check_caps(instance, len(requests), state_cap, work_cap)
     start = instance.check_coords(start, what="start configuration")
+    instance.check_requests(requests)
     sizes = instance.sizes
     scale = math.lcm(*(w.denominator for w in instance.weights))
     weights = [w.numerator * (scale // w.denominator) for w in instance.weights]
@@ -99,7 +100,6 @@ def _layers(instance: Instance, start: Config, requests: Sequence[Request],
     step = _two_point_step(values, strides, weights) if max(sizes) == 2 else box_step
     yield 0, values, scale
     for t, r in enumerate(requests, start=1):
-        instance.check_coords(r)
         step(r)
         yield t, values, scale
 

@@ -25,6 +25,7 @@ from .core import (
     Instance,
     InvalidInputError,
     InvariantViolationError,
+    format_fraction,
     satisfies,
 )
 from .algorithms import Step, PhaseSummary
@@ -94,10 +95,11 @@ def round_weights(weights: Sequence, *,
     ws = tuple(Fraction(w) for w in weights)
     if not ws:
         raise InvalidInputError("need at least one weight")
+    shown = ",".join(map(format_fraction, ws))
     if any(w <= 0 for w in ws):
-        raise InvalidInputError(f"weights must be positive, got {ws}")
+        raise InvalidInputError(f"weights must be positive, got {shown}")
     if any(a > b for a, b in zip(ws, ws[1:])):
-        raise InvalidInputError(f"weights must be ascending, got {ws}")
+        raise InvalidInputError(f"weights must be ascending, got {shown}")
     rounded = [1]
     multipliers = []
     units = []

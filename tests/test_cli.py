@@ -135,10 +135,14 @@ def test_run_flag_validation(runner, seq_file, tmp_path):
                   ["--sizes", "3", "--seeds", "1,x"], ["--sizes", "3,3,3"],
                   ["--sizes", "3", "--weights", "1,1,1"], ["--sizes", "3", "--start", "0,x"]):
         assert_input_error(runner.invoke(main, gen + flags))
-    # the weighted algorithm rejects descending weights when it is built
-    assert_input_error(runner.invoke(main, ["run", "--alg", "weighted", "--gen", "random",
-                                            "--k", "2", "--sizes", "3", "--weights", "3,1"]),
-                       "weights must be ascending")
+    # the weighted algorithm rejects descending weights when it is built;
+    # either weight error prints the weights as written
+    weighted = ["run", "--alg", "weighted", "--gen", "random", "--k", "2", "--sizes", "3"]
+    for weights, line in (("1,-3", "error: metric 1: weight must be a positive Fraction, got -3"),
+                          ("3,1", "error: weights must be ascending, got 3,1")):
+        result = runner.invoke(main, weighted + ["--weights", weights])
+        assert_input_error(result)
+        assert result.stderr.splitlines() == [line], result.stderr
     # values click rejects itself end with its usage message, but also exit 1
     missing = str(tmp_path / "missing.gks")
     for args, text in ((["run", "--alg", "det", "--gen", "random", "--k", "x", "--sizes", "3"],

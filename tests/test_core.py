@@ -1,5 +1,6 @@
 """Tests for instances, satisfaction, distances, and sequence files."""
 
+import enum
 import io
 import itertools
 import pickle
@@ -96,8 +97,18 @@ def outcome(check, instance, t):
         return "error", str(e)
 
 
+class Level(enum.IntEnum):
+    LOW = 0
+    HIGH = 1
+
+
+class Count(int):
+    """A plain int subclass: equal to an int, but not of type int."""
+
+
 oddities = st.one_of(st.integers(-3, 8), st.booleans(), st.floats(-1, 8), st.none(),
-                     st.text(max_size=2), st.just(1.0), st.just(2 ** 70))
+                     st.text(max_size=2), st.just(1.0), st.just(2 ** 70),
+                     st.sampled_from(Level), st.integers(0, 4).map(Count))
 
 
 @settings(max_examples=300)
@@ -106,6 +117,8 @@ def test_check_coords_matches_the_coordinate_loop(sizes, data):
     inst = Instance.make(sizes)
     t = data.draw(st.lists(st.one_of(st.integers(0, 4), oddities), min_size=0,
                            max_size=len(sizes) + 1))
+    if data.draw(st.booleans()):
+        t = tuple(t)  # the check takes a tuple and a list alike
     what = data.draw(st.sampled_from(["request", "start configuration"]))
     fast = outcome(lambda i, x: i.check_coords(x, what), inst, t)
     assert fast == outcome(lambda i, x: check_coords(i, x, what), inst, t)
@@ -149,6 +162,13 @@ def test_instance_validation():
         Instance.make([2, 2], [1, 0])
     with pytest.raises(InvalidInputError):
         Instance.make([2, 2], [1, -3])
+    # a weight prints as written; a value that is no Fraction prints as its repr
+    for weights, shown in (([1, -3], "-3"), ([1, "-7/2"], "-7/2"), ([0, 1], "0")):
+        with pytest.raises(InvalidInputError,
+                           match=f"weight must be a positive Fraction, got {shown}$"):
+            Instance.make([2, 2], weights)
+    with pytest.raises(InvalidInputError, match="got '1'$"):
+        Instance(1, (2,), ("1",))
     for sizes in ([2.9, 3], ["3", 4], [3.0, 2]):  # a size is an int, never converted
         with pytest.raises(InvalidInputError):
             Instance.make(sizes)

@@ -15,6 +15,7 @@ from gks.offline import opt_cost, work_function_minima
 from helpers import (
     all_configs,
     brute_force_opt,
+    check_coords,
     naive_layers,
     two_point_layers,
     weighted_distance,
@@ -229,3 +230,62 @@ def test_two_point_step_matches_tuple_box_rule_at_large_k(k):
     # the generator has finished, so its one table is the last layer
     *_, last = two_point_layers(inst, start, seq)
     assert work_function_layer(inst, start, seq, len(seq)) == last
+
+
+def outcome(f, *args):
+    try:
+        return "ok", f(*args)
+    except Exception as e:  # the oracle raises TypeError for a request that is None
+        return type(e).__name__, str(e)
+
+
+@st.composite
+def lists_with_bad_requests(draw):
+    """A valid start and request list at k <= 4, with one or two bad
+    requests (a bool, a float, None, an int out of range or negative, a
+    wrong length, or no request at all) put at random positions."""
+    k = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(2, 3), min_size=k, max_size=k))
+    inst = Instance.make(sizes)
+    point = st.tuples(*(st.integers(0, n - 1) for n in sizes))
+    requests = draw(st.lists(point, max_size=12))
+    for _ in range(draw(st.integers(1, 2))):
+        r = list(draw(point))
+        kind = draw(st.sampled_from(["bool", "float", "none", "high", "negative",
+                                     "long", "short", "no request"]))
+        i = draw(st.integers(0, k - 1))
+        if kind == "long":
+            r.append(0)
+        elif kind == "short":
+            r.pop()
+        elif kind == "no request":
+            r = None
+        else:
+            r[i] = {"bool": bool(r[i]), "float": float(r[i]), "none": None,
+                    "high": sizes[i], "negative": -1}[kind]
+        requests.insert(draw(st.integers(0, len(requests))), r)
+    return inst, draw(point), requests
+
+
+@settings(max_examples=200, deadline=None)
+@given(lists_with_bad_requests())
+def test_request_list_check_names_the_first_bad_request(case):
+    inst, start, requests = case
+
+    def first_bad():
+        for r in requests:
+            check_coords(inst, r)
+
+    expected = outcome(first_bad)
+    assert expected[0] != "ok"
+    assert outcome(opt_cost, inst, start, requests) == expected
+    assert outcome(work_function_minima, inst, start, requests) == expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(offline_cases())
+def test_requests_as_lists_read_as_tuples(case):
+    inst, start, seq = case
+    lists = [list(r) for r in seq]
+    assert opt_cost(inst, start, lists) == opt_cost(inst, start, seq)
+    assert work_function_minima(inst, start, lists) == work_function_minima(inst, start, seq)

@@ -75,11 +75,14 @@ def test_round_weights_examples():
 
 
 def test_round_weights_orders():
-    with pytest.raises(InvalidInputError):
+    # an error prints the weights as written
+    with pytest.raises(InvalidInputError, match="^weights must be ascending, got 7,1$"):
         round_weights([7, 1])
+    with pytest.raises(InvalidInputError, match="^weights must be ascending, got 7/2,1$"):
+        round_weights([Fraction(7, 2), 1])
     with pytest.raises(InvalidInputError):
         round_weights([])
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="^weights must be positive, got 0,1$"):
         round_weights([0, 1])
 
 
