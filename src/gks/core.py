@@ -114,7 +114,10 @@ class Instance:
     def check_coords(self, t: Sequence[int], what: str = "request") -> Config:
         """Validate a request/configuration as a tuple of k coordinates, each
         of type exactly `int` (no bool or other subclass) with 0 <= xᵢ < nᵢ."""
-        t = tuple(t)
+        try:
+            t = tuple(t)
+        except TypeError:
+            raise InvalidInputError(f"{what} of type {type(t).__name__} is not a sequence") from None
         if len(t) != self.k:
             raise InvalidInputError(f"{what} has {len(t)} coordinates, expected {self.k}")
         if not (_INT.issuperset(map(type, t)) and all(map(contains, self._ranges, t))):

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import add, getitem, mul, sub
 from typing import Sequence
 
@@ -36,22 +36,30 @@ from .core import Config, Instance, Request, ResourceLimitError
 
 DEFAULT_STATE_CAP = 10_000
 DEFAULT_WORK_CAP = 50_000_000
+_SHOWN_MAX = 10 ** 18    # a cap message prints larger counts as ">10^18"
+
+
+def _shown(x: int) -> str:
+    return str(x) if x <= _SHOWN_MAX else ">10^18"
 
 
 def check_caps(instance: Instance, steps: int, state_cap: int = DEFAULT_STATE_CAP,
                work_cap: int = DEFAULT_WORK_CAP) -> None:
     """Raise ResourceLimitError unless the optimum of `steps` requests fits
     the caps on the table's size and on the box work, steps · k · ∏(nᵢ − 1)."""
-    n_states = instance.state_count()
+    for n_states in accumulate(instance.sizes, mul):  # exact until past cap and _SHOWN_MAX
+        if n_states > max(state_cap, _SHOWN_MAX):
+            break
     if n_states > state_cap:
         raise ResourceLimitError(
-            f"state space {n_states} exceeds cap {state_cap}"
+            f"state space {_shown(n_states)} exceeds cap {_shown(state_cap)}"
         )
-    box = math.prod(n - 1 for n in instance.sizes)
+    box = math.prod(n - 1 for n in instance.sizes)  # at most the state count
     work = steps * instance.k * box
     if work > work_cap:
         raise ResourceLimitError(
-            f"box work {work} (= {steps} * {instance.k} * {box}) exceeds cap {work_cap}"
+            f"box work {_shown(work)} (= {_shown(steps)} * {_shown(instance.k)} * "
+            f"{_shown(box)}) exceeds cap {_shown(work_cap)}"
         )
 
 

@@ -10,13 +10,16 @@ an integral multiple of the charged cost of one complete lower-level phase.
 Costs are tracked twice: `actual` is what the run really pays (staying put
 is free), `charged` prices every scheduled move at the level weight, which
 is the accounting the subphase boundaries are defined by.  Charged never
-undercounts actual.
+undercounts actual.  A phase opens with a move to an arbitrary point,
+realized as staying put; it is charged when the previous phase closes (at
+construction for the first), since nothing is spent before the next counted
+request.  Each level's open phase is recorded as its `phase_report` entry.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -127,43 +130,19 @@ def learning_topk(counts: Mapping[int, int], c: int, n_points: int) -> list[int]
     return out
 
 
-@dataclass
-class LevelPhaseRecord:
-    """Anatomy of one phase at one level (levels 2 and up), filled in as its
-    subphases close; the last three fields are set when the phase completes.
-
-    `light[p]` turns True at the first subphase close where point p had at
-    most 1/c of the subphase's requests, so `fraction_ok` needs no
-    per-subphase counts; those are kept only when the run records them.
-    """
-
-    level: int
-    index: int                      # 1-based among the level's phases
-    requests: list[int] = field(default_factory=list)       # counted, per subphase
-    lower_actual: list[int] = field(default_factory=list)   # paid below, per subphase
-    lower_charged: list[int] = field(default_factory=list)  # charged below, per subphase
-    moves: list[tuple[int, int]] = field(default_factory=list)  # (target, actual cost)
-    pool: list[int] | None = None   # the tour, ranked at the first subphase's close
-    point_counts: list[dict] | None = None  # per subphase, kept only when recording
-    light: list[bool] = field(default_factory=list)  # per real point, see above
-    fraction_ok: bool = False       # every point has a subphase with <= 1/c of requests
-    total_requests: int = 0
-    phase_cost_actual: int = 0      # lower actual + own boundary moves
-
-    @property
-    def subphases(self) -> int:
-        return len(self.requests)
-
-
 class _Level:
     """One level's state.  `counts` tallies the open subphase's counted
     requests per point, so its sum is also what the bottom server spent
     below, at actual and charged weight 1 each; `lower_actual` and
-    `lower_charged` gather what levels 2 and up spend, until the close."""
+    `lower_charged` gather what levels 2 and up spend, until the close.
+    `record` is the open phase's `phase_report` entry, filled as subphases
+    close (point counts only when recorded).  `light[p]` turns True at the
+    first close where point p had at most 1/c of the subphase's requests,
+    so `fraction_ok` needs no per-subphase counts."""
 
     __slots__ = (
-        "i", "w", "c", "m", "n_real", "pos", "opened", "lower_phases",
-        "counts", "lower_actual", "lower_charged", "record",
+        "i", "w", "c", "m", "n_real", "pos", "lower_phases", "counts",
+        "lower_actual", "lower_charged", "record", "light",
         "completed_phases", "phase_records", "keep_counts",
     )
 
@@ -177,19 +156,22 @@ class _Level:
         self.pos = pos
         self.keep_counts = keep_counts
         self.completed_phases = 0
-        self.phase_records: list[LevelPhaseRecord] = []
+        self.phase_records: list[dict] = []
         self._reset_phase()
 
-    @property
-    def completed_subphases(self) -> int:
-        return len(self.record.requests)
-
     def _reset_phase(self):
-        self.opened = False
         self.lower_phases = 0
-        self.record = LevelPhaseRecord(self.i, self.completed_phases + 1,
-                                       point_counts=[] if self.keep_counts else None,
-                                       light=[False] * self.n_real)
+        self.record = {
+            "index": self.completed_phases + 1,   # 1-based among the level's phases
+            "requests_per_subphase": [],          # counted
+            "lower_actual_per_subphase": [],      # paid below
+            "lower_charged_per_subphase": [],     # charged below
+            "move_costs": [],                     # actual cost of each tour move
+            "pool": None,                         # ranked at the first subphase's close
+        }
+        if self.keep_counts:
+            self.record["point_counts"] = []
+        self.light = [False] * self.n_real
         self._reset_subphase()
 
     def _reset_subphase(self):
@@ -214,24 +196,20 @@ class WeightedAlgorithm:
         self.instance = instance
         self.table = table or DEFAULT_TABLE
         self.rounded = round_weights(instance.weights, table=self.table)
-        self.record_point_counts = record_point_counts
-        if start is None:
-            start = (0,) * instance.k
-        start = instance.check_coords(start, what="start configuration")
+        start = instance.check_coords((0,) * instance.k if start is None else start,
+                                      what="start configuration")
 
         self.phase_len_1 = 2 * (self.table.c(1) + 1)
-        k = instance.k
-        self._levels: list[_Level] = []
-        for i in range(1, k + 1):
-            w = self.rounded.rounded[i - 1]
-            c_i = self.table.c(i)
-            m_i = 1 if i == 1 else self.rounded.multipliers[i - 2]
-            self._levels.append(_Level(i, w, c_i, m_i, instance.sizes[i - 1], start[i - 1],
-                                       record_point_counts))
+        self._levels = [_Level(i, w, self.table.c(i), m, n, pos, record_point_counts)
+                        for i, w, m, n, pos in zip(range(1, instance.k + 1), self.rounded.rounded,
+                                                   (1,) + self.rounded.multipliers,
+                                                   instance.sizes, start)]
         self._lvl1 = self._levels[0]
         self._upper = self._levels[1:]
         self._top = self._levels[-1]
         self._current: Config = start
+        for level in self._upper:
+            self._open_phase(level)
 
         self.total_cost = 0
         self.filtered = 0
@@ -276,11 +254,6 @@ class WeightedAlgorithm:
                 "counted request already matched the bottom server"
             )
         for level, p in zip(self._upper, r[1:]):
-            # lazy phase-opening charge: the scheduled move to an arbitrary
-            # point is realized as staying put (actual 0, charged at the weight)
-            if not level.opened:
-                level.opened = True
-                self._propagate(level.i, actual=0, charged=level.w)
             # per-subphase tally of what the metric is asked for, which also
             # counts the bottom server's moves below (see `_Level`)
             level.counts[p] = level.counts.get(p, 0) + 1
@@ -327,6 +300,10 @@ class WeightedAlgorithm:
             level.lower_actual += actual
             level.lower_charged += charged
 
+    def _open_phase(self, level: _Level) -> None:
+        """Charge a phase's opening move, realized as staying put."""
+        self._propagate(level.i, actual=0, charged=level.w)
+
     def _cascade(self, i: int) -> int:
         """Level i-1 just completed a phase; returns extra actual cost paid."""
         if i > self.instance.k:
@@ -354,24 +331,27 @@ class WeightedAlgorithm:
                 f"above its charged cost {level.lower_charged}"
             )
         rec = level.record
-        rec.requests.append(nreq)
-        rec.lower_actual.append(level.lower_actual)
-        rec.lower_charged.append(level.lower_charged)
-        rec.light = [was or counts.get(p, 0) * c <= nreq for p, was in enumerate(rec.light)]
-        if rec.point_counts is not None:
-            rec.point_counts.append(counts)
-        if rec.pool is None:
-            rec.pool = learning_topk(counts, c, level.n_real)
+        rec["requests_per_subphase"].append(nreq)
+        rec["lower_actual_per_subphase"].append(level.lower_actual)
+        rec["lower_charged_per_subphase"].append(level.lower_charged)
+        level.light = [was or counts.get(p, 0) * c <= nreq for p, was in enumerate(level.light)]
+        if level.keep_counts:
+            rec["point_counts"].append({str(p): n for p, n in sorted(counts.items())})
+        if rec["pool"] is None:
+            rec["pool"] = learning_topk(counts, c, level.n_real)
         level._reset_subphase()
 
-        if len(rec.requests) == level.c + 1:
+        if len(rec["requests_per_subphase"]) == c + 1:
             self._finish_level_phase(level)
-            return self._cascade(i + 1)
+            extra = self._cascade(i + 1)
+            self._open_phase(level)
+            return extra
 
         # tour the next unvisited pool point
-        target = rec.pool[len(rec.moves)]
+        moves = rec["move_costs"]
+        target = rec["pool"][len(moves)]
         actual = level.w if target != level.pos else 0
-        rec.moves.append((target, actual))
+        moves.append(actual)
         level.pos = target
         if actual:
             self.total_cost += actual
@@ -380,20 +360,23 @@ class WeightedAlgorithm:
 
     def _finish_level_phase(self, level: _Level) -> None:
         rec = level.record
-        requests = rec.requests
+        requests = rec["requests_per_subphase"]
         if len(set(requests)) > 1:
             raise InvariantViolationError(
                 f"level {level.i} subphases served unequal request counts {requests}"
             )
-        visited = [t for t, _ in rec.moves]
+        moves = rec["move_costs"]
+        visited = rec["pool"][:len(moves)]
         if len(visited) != level.c or len(set(visited)) != level.c:
             raise InvariantViolationError(
                 f"level {level.i} toured {len(visited)} points "
                 f"({len(set(visited))} distinct), expected {level.c} distinct"
             )
-        rec.fraction_ok = all(rec.light)
-        rec.total_requests = sum(requests)
-        rec.phase_cost_actual = sum(rec.lower_actual) + sum(a for _, a in rec.moves)
+        rec["subphases"] = len(requests)
+        rec["fraction_ok"] = all(level.light)
+        rec["total_requests"] = sum(requests)
+        rec["phase_cost_actual"] = sum(rec["lower_actual_per_subphase"]) + sum(moves)
+        rec["phase_cost_bound"] = 2 * (level.c + 1) * level.w
         level.phase_records.append(rec)
         level.completed_phases += 1
         level._reset_phase()
@@ -401,46 +384,24 @@ class WeightedAlgorithm:
     # -- reporting ----------------------------------------------------------
 
     def phase_report(self) -> dict:
-        """Structural summary of every completed phase, per level."""
+        """Structural summary of every completed phase, per level: copies of
+        the records, whose lists are never written once the phase completes."""
         k = self.instance.k
-        levels = []
-        lvl1 = self._lvl1
-        levels.append({
+        levels = [{
             "level": 1,
             "weight": 1,
-            "complete_phases": lvl1.completed_phases,
+            "complete_phases": self._lvl1.completed_phases,
             "requests_per_phase": self.phase_len_1,
-        })
-        for level in self._levels[1:]:
-            entry = {
+        }]
+        for level in self._upper:
+            levels.append({
                 "level": level.i,
                 "weight": level.w,
                 "tour_size": level.c,
                 "multiplier": level.m,
                 "complete_phases": level.completed_phases,
-                "phases": [],
-            }
-            for rec in level.phase_records:
-                item = {
-                    "index": rec.index,
-                    "subphases": rec.subphases,
-                    "requests_per_subphase": list(rec.requests),
-                    "lower_actual_per_subphase": list(rec.lower_actual),
-                    "lower_charged_per_subphase": list(rec.lower_charged),
-                    "move_costs": [a for _, a in rec.moves],
-                    "pool": list(rec.pool),
-                    "fraction_ok": rec.fraction_ok,
-                    "total_requests": rec.total_requests,
-                    "phase_cost_actual": rec.phase_cost_actual,
-                    "phase_cost_bound": 2 * (level.c + 1) * level.w,
-                }
-                if rec.point_counts is not None:
-                    item["point_counts"] = [
-                        {str(p): c for p, c in sorted(counts.items())}
-                        for counts in rec.point_counts
-                    ]
-                entry["phases"].append(item)
-            levels.append(entry)
+                "phases": [dict(rec) for rec in level.phase_records],
+            })
         return {
             "k": k,
             "original_weights": [str(w) for w in self.rounded.original],

@@ -26,8 +26,11 @@ from gks.spaces import FeasibleFamily
 
 def check_coords(instance: Instance, t, what="request"):
     """A request or configuration checked coordinate by coordinate; a bool
-    is no coordinate."""
-    t = tuple(t)
+    is no coordinate, and a request that is no iterable is no request."""
+    try:
+        t = tuple(t)
+    except TypeError:
+        raise InvalidInputError(f"{what} of type {type(t).__name__} is not a sequence") from None
     if len(t) != instance.k:
         raise InvalidInputError(f"{what} has {len(t)} coordinates, expected {instance.k}")
     for i, (x, n) in enumerate(zip(t, instance.sizes)):

@@ -301,6 +301,16 @@ def test_duel_checks_optimum_caps_before_serving(runner, monkeypatch):
     assert "state space 16384 exceeds cap 10000" in result.stderr
 
 
+@pytest.mark.parametrize("k", [4_000, 20_000])
+def test_duel_refuses_a_huge_state_space_in_one_short_line(runner, k):
+    # 2^k has more digits than Python turns into a string by default at
+    # k = 20,000; the line prints a bound instead of the exact count
+    result = runner.invoke(main, ["duel", "--k", str(k)])
+    assert result.exit_code == 3, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stderr.splitlines() == ["error: state space >10^18 exceeds cap 10000"]
+
+
 def test_run_checks_optimum_caps_before_serving(runner, monkeypatch):
     flags = ["run", "--alg", "det", "--gen", "random", "--k", "9", "--sizes", "5", "--opt"]
     # the optimum of no requests is 0 whatever the caps

@@ -22,6 +22,7 @@ from gks.core import (
 )
 from gks.adversaries import random_sequence
 from gks.algorithms import GenericAlgorithm, read_transcript, write_transcript
+from gks.offline import opt_cost
 from gks.certify import (
     build_phase_matrix,
     forced_rows,
@@ -119,11 +120,26 @@ def test_check_coords_matches_the_coordinate_loop(sizes, data):
                            max_size=len(sizes) + 1))
     if data.draw(st.booleans()):
         t = tuple(t)  # the check takes a tuple and a list alike
+    if data.draw(st.integers(0, 9)) == 0:
+        t = data.draw(st.sampled_from([None, 7, 2.5, Level.HIGH]))  # no sequence at all
     what = data.draw(st.sampled_from(["request", "start configuration"]))
     fast = outcome(lambda i, x: i.check_coords(x, what), inst, t)
     assert fast == outcome(lambda i, x: check_coords(i, x, what), inst, t)
     if fast[0] == "ok":
         assert type(fast[1]) is tuple and fast[1] == tuple(t)
+
+
+def test_request_that_is_no_sequence_is_an_input_error():
+    inst = Instance.make([2, 2])
+    alg = GenericAlgorithm(inst)
+    for bad in (None, 5):
+        with pytest.raises(InvalidInputError,
+                           match=f"^request of type {type(bad).__name__} is not a sequence$"):
+            alg.serve(bad)
+    with pytest.raises(InvalidInputError, match="^start configuration of type int is not"):
+        GenericAlgorithm(inst, start=7)
+    with pytest.raises(InvalidInputError, match="^request of type NoneType is not"):
+        opt_cost(inst, (0, 0), [(1, 1), None])
 
 
 def test_weighted_distance_examples():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from gks.core import Instance, InvalidInputError, ResourceLimitError
 from gks.algorithms import GenericAlgorithm
 from gks.adversaries import random_sequence
-from gks.offline import opt_cost, work_function_minima
+from gks.offline import check_caps, opt_cost, work_function_minima
 
 from helpers import (
     all_configs,
@@ -232,10 +232,22 @@ def test_two_point_step_matches_tuple_box_rule_at_large_k(k):
     assert work_function_layer(inst, start, seq, len(seq)) == last
 
 
+def test_cap_messages_print_large_counts_as_a_bound():
+    wide = Instance.uniform(70, 2)
+    with pytest.raises(ResourceLimitError, match=r"^state space >10\^18 exceeds cap >10\^18$"):
+        check_caps(wide, 1, state_cap=2 ** 70 - 1)
+    check_caps(wide, 0, state_cap=2 ** 70)  # compared exactly past the printed bound
+    with pytest.raises(ResourceLimitError,
+                       match=r"^box work >10\^18 \(= >10\^18 \* 3 \* 1\) exceeds cap 50000000$"):
+        check_caps(Instance.uniform(3, 2), 10 ** 19)
+    with pytest.raises(ResourceLimitError, match=r"^box work 24 \(= 3 \* 2 \* 4\) exceeds cap 23$"):
+        check_caps(Instance.make([3, 3]), 3, work_cap=23)
+
+
 def outcome(f, *args):
     try:
         return "ok", f(*args)
-    except Exception as e:  # the oracle raises TypeError for a request that is None
+    except InvalidInputError as e:
         return type(e).__name__, str(e)
 
 

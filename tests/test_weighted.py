@@ -6,10 +6,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gks.algorithms import ALGORITHMS, RandomizedAlgorithm
 from gks.core import Instance, InvalidInputError, InvariantViolationError, satisfies
-from gks.adversaries import evasive_next, run_evasive
+from gks.adversaries import evasive_next, random_request, run_evasive
 from gks.weighted import (
     ConstantTable,
     WeightedAlgorithm,
@@ -123,7 +125,7 @@ def test_filtered_requests_change_nothing():
 
     def snapshot():
         return (dict(level2.counts), level2.lower_actual, level2.lower_charged,
-                level2.completed_subphases)
+                json.dumps(level2.record, sort_keys=True))
 
     before = snapshot()
     step = alg.serve((alg.current[0], 0))  # satisfied via the bottom server
@@ -142,17 +144,17 @@ def test_two_level_anatomy_default_constants():
     level2 = alg._levels[1]
     assert level2.completed_phases >= 2
     for rec in level2.phase_records:
-        assert rec.subphases == 33
-        assert rec.total_requests == 33 * 2 * 6 == 396
-        assert all(x == 12 for x in rec.lower_actual)
-        assert all(x == 12 for x in rec.lower_charged)
-        assert len(rec.moves) == 32
-        targets = [t for t, _ in rec.moves]
+        assert rec["subphases"] == 33
+        assert rec["total_requests"] == 33 * 2 * 6 == 396
+        assert all(x == 12 for x in rec["lower_actual_per_subphase"])
+        assert all(x == 12 for x in rec["lower_charged_per_subphase"])
+        assert len(rec["move_costs"]) == 32
+        targets = rec["pool"][:len(rec["move_costs"])]
         assert len(set(targets)) == 32  # tours 32 distinct pool points
-        assert rec.phase_cost_actual <= 2 * 33 * 12
-        assert rec.fraction_ok
+        assert rec["phase_cost_actual"] <= 2 * 33 * 12
+        assert rec["fraction_ok"]
         # requests per subphase are equal across the phase
-        assert set(rec.requests) == {12}
+        assert set(rec["requests_per_subphase"]) == {12}
 
 
 def test_two_level_fraction_breakdown():
@@ -162,10 +164,10 @@ def test_two_level_fraction_breakdown():
     level2 = alg._levels[1]
     assert level2.phase_records
     for rec in level2.phase_records:
-        assert rec.point_counts is not None
+        assert "point_counts" in rec
         for p in range(4):
-            assert any(counts.get(p, 0) * 32 <= nreq
-                       for counts, nreq in zip(rec.point_counts, rec.requests))
+            assert any(counts.get(str(p), 0) * 32 <= nreq
+                       for counts, nreq in zip(rec["point_counts"], rec["requests_per_subphase"]))
 
 
 def test_fraction_flags_match_recorded_counts_in_both_modes():
@@ -180,19 +182,102 @@ def test_fraction_flags_match_recorded_counts_in_both_modes():
         lean.serve(r)
         level, lean_level = kept._levels[1], lean._levels[1]
         rec = level.record
-        assert rec.light == [any(counts.get(p, 0) * level.c <= nreq
-                                 for counts, nreq in zip(rec.point_counts, rec.requests))
-                             for p in range(level.n_real)]
-        assert lean_level.record.light == rec.light
-        assert lean_level.record.point_counts is None
+        assert level.light == [any(counts.get(str(p), 0) * level.c <= nreq
+                                   for counts, nreq in zip(rec["point_counts"],
+                                                           rec["requests_per_subphase"]))
+                               for p in range(level.n_real)]
+        assert lean_level.light == level.light
+        assert "point_counts" not in lean_level.record
     records, lean_records = kept._levels[1].phase_records, lean._levels[1].phase_records
     assert len(records) == 2
-    assert [r.fraction_ok for r in records] == [r.fraction_ok for r in lean_records]
-    assert all(r.point_counts is None for r in lean_records)
+    assert [r["fraction_ok"] for r in records] == [r["fraction_ok"] for r in lean_records]
+    assert all("point_counts" not in r for r in lean_records)
     report = kept.phase_report()
     for phase in report["levels"][1]["phases"]:
         del phase["point_counts"]
     assert report == lean.phase_report()
+
+
+@st.composite
+def scaled_runs(draw):
+    """A scaled table at k = 2..4 with multipliers 1 or 2, exact weights for
+    them, and evasive or random traffic (random on three or four points)."""
+    k = draw(st.integers(2, 4))
+    c = {1: 2, **{i: draw(st.integers(1, 3)) for i in range(2, k + 1)}}
+    weights = [1]
+    for i in range(2, k + 1):
+        weights.append(draw(st.integers(1, 2)) * 2 * (1 + c[i - 1]) * weights[-1])
+    traffic = draw(st.sampled_from(["evasive", "random"]))
+    low = 3 if traffic == "random" else 2
+    sizes = draw(st.lists(st.integers(low, 4), min_size=k, max_size=k))
+    return ConstantTable(c), Instance.make(sizes, weights), traffic, draw(st.integers(0, 99))
+
+
+def assert_anatomy_laws(level_report, n_real):
+    c, w = level_report["tour_size"], level_report["weight"]
+    for entry in level_report["phases"]:
+        requests = entry["requests_per_subphase"]
+        moves = entry["move_costs"]
+        assert entry["subphases"] == len(requests) == c + 1
+        assert entry["lower_charged_per_subphase"] == [w] * (c + 1)
+        assert len(set(requests)) == 1
+        assert len(moves) == c and len(set(entry["pool"][:c])) == c
+        assert set(moves) <= {0, w}
+        assert entry["total_requests"] == sum(requests)
+        assert entry["phase_cost_actual"] == sum(entry["lower_actual_per_subphase"]) + sum(moves)
+        assert entry["phase_cost_actual"] <= entry["phase_cost_bound"] == 2 * (c + 1) * w
+        assert entry["fraction_ok"] == all(
+            any(counts.get(str(p), 0) * c <= nreq
+                for counts, nreq in zip(entry["point_counts"], requests))
+            for p in range(n_real))
+
+
+@settings(max_examples=30, deadline=None)
+@given(scaled_runs())
+def test_every_completed_entry_obeys_the_anatomy_laws(case):
+    table, inst, traffic, seed = case
+    kept = WeightedAlgorithm(inst, keep_transcript=False, table=table)
+    lean = WeightedAlgorithm(inst, keep_transcript=False, table=table,
+                             record_point_counts=False)
+    rng = random.Random(seed)
+    while kept.phase <= 2:
+        if traffic == "evasive":
+            r = evasive_next(inst, kept.current, rng)
+        else:
+            r = random_request(inst, rng)
+        kept.serve(r)
+        lean.serve(r)
+    report = kept.phase_report()
+    for level_report, n in zip(report["levels"][1:], inst.sizes[1:]):
+        assert level_report["complete_phases"] == len(level_report["phases"])
+        assert_anatomy_laws(level_report, n)
+    assert report["levels"][-1]["complete_phases"] == 2
+    for level_report in report["levels"][1:]:
+        for entry in level_report["phases"]:
+            del entry["point_counts"]
+    assert report == lean.phase_report()
+
+
+def test_phase_report_entries_are_copies():
+    alg = WeightedAlgorithm(Instance.make([3, 3], [1, 7]), keep_transcript=False)
+    run_weighted(alg, 2 * 396, seed=7)
+    before = json.dumps(alg.phase_report(), sort_keys=True)
+    for entry in alg.phase_report()["levels"][1]["phases"]:
+        entry["fraction_ok"] = None
+        entry["index"] += 100
+        del entry["pool"], entry["point_counts"]
+    assert json.dumps(alg.phase_report(), sort_keys=True) == before
+
+
+def test_phase_opening_charged_at_construction():
+    # every upper level's first phase opens with a move charged at its
+    # weight into the levels above it, before any request is served
+    table = ConstantTable({1: 2, 2: 4, 3: 8, 4: 16})
+    alg = WeightedAlgorithm(Instance.make([3, 3, 3, 3], [1, 6, 60, 1080]), table=table)
+    w = alg.rounded.rounded
+    for i, level in enumerate(alg._levels, start=1):
+        assert level.lower_actual == 0
+        assert level.lower_charged == sum(w[j - 1] for j in range(2, i))
 
 
 def test_three_level_anatomy_scaled_constants():
@@ -207,18 +292,18 @@ def test_three_level_anatomy_scaled_constants():
     l2, l3 = alg._levels[1], alg._levels[2]
     assert l3.completed_phases >= 2
     for rec in l3.phase_records:
-        assert rec.subphases == 9
-        assert rec.total_requests == 270
-        assert all(x == 60 for x in rec.lower_charged)
-        assert all(x <= 60 for x in rec.lower_actual)
-        assert len(rec.moves) == 8
+        assert rec["subphases"] == 9
+        assert rec["total_requests"] == 270
+        assert all(x == 60 for x in rec["lower_charged_per_subphase"])
+        assert all(x <= 60 for x in rec["lower_actual_per_subphase"])
+        assert len(rec["move_costs"]) == 8
     for rec in l2.phase_records:
-        assert rec.subphases == 5
-        assert rec.total_requests == 30
-        assert all(x == 6 for x in rec.lower_charged)
+        assert rec["subphases"] == 5
+        assert rec["total_requests"] == 30
+        assert all(x == 6 for x in rec["lower_charged_per_subphase"])
     # complete same-level phases all contain the same number of requests
-    assert len({rec.total_requests for rec in l3.phase_records}) == 1
-    assert len({rec.total_requests for rec in l2.phase_records}) == 1
+    assert len({rec["total_requests"] for rec in l3.phase_records}) == 1
+    assert len({rec["total_requests"] for rec in l2.phase_records}) == 1
 
 
 def test_top_cost_bound_per_phase():
@@ -228,7 +313,7 @@ def test_top_cost_bound_per_phase():
     level2 = alg._levels[1]
     w2 = alg.rounded.rounded[1]
     for rec in level2.phase_records:
-        assert rec.phase_cost_actual <= 2 * (level2.c + 1) * w2
+        assert rec["phase_cost_actual"] <= 2 * (level2.c + 1) * w2
 
 
 def test_phase_report_shape():
