@@ -26,6 +26,7 @@ from .core import (
     InvariantViolationError,
     Memo,
     Request,
+    check_point_bits,
     format_fraction,
     hamming,
     header_lines,
@@ -118,6 +119,7 @@ class OnlineAlgorithm:
 
     def __init__(self, instance: Instance, start: Sequence[int] | None = None,
                  keep_transcript: bool = True):
+        check_point_bits(instance)
         if not instance.is_unit_uniform:
             raise InvalidInputError(
                 "unit-weight algorithms require all weights equal to 1; "

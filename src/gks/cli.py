@@ -276,6 +276,9 @@ def cmd_run(alg, seq_file, gen, steps, k, sizes, weights, seed, seeds, jobs,
     start_cfg = _parse_tuple(start, instance, "start configuration") if start else None
 
     seed_list = _parse_flag("--seeds", parse_ints, seeds) if seeds else (seed,)
+    if len(set(seed_list)) < len(seed_list):
+        # one report file per seed: a repeat would serve twice and overwrite
+        _fail(EXIT_INPUT, f"--seeds: repeated seed in {seeds}")
     if len(seed_list) > 1 and (dump_seq or transcript_out):
         _fail(EXIT_INPUT, "--dump-seq/--transcript-out need a single seed")
     n_requests = steps if requests is None else len(requests)

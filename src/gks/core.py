@@ -51,7 +51,7 @@ class EmptyFamilyError(GKSError):
 
 
 class ResourceLimitError(GKSError):
-    """A configured state-space or work cap was exceeded."""
+    """A state-space, work or point-bit bound was exceeded."""
 
 
 class CertificateImpossibleError(GKSError):
@@ -140,6 +140,18 @@ class Instance:
         if not ok:
             for r in requests:
                 self.check_coords(r)
+
+
+MAX_POINT_BITS = 2 ** 14
+
+
+def check_point_bits(instance: Instance) -> None:
+    """Raise ResourceLimitError unless k · max(sizes), the bits of a pattern
+    mask (see `spaces`), is at most MAX_POINT_BITS.  The table of point bits
+    grows as its square, to about 16 MiB at the bound."""
+    bits = instance.k * max(instance.sizes)
+    if bits > MAX_POINT_BITS:
+        raise ResourceLimitError(f"k * max(sizes) = {bits} exceeds the bound {MAX_POINT_BITS}")
 
 
 def _raise_len_mismatch(a: Sequence[int], b: Sequence[int]) -> NoReturn:

@@ -1,19 +1,26 @@
 """Recursive algorithm for weighted products of uniform metrics.
 
-Level i moves its server only at subphase boundaries; a subphase lasts
-exactly as long as the levels below it need to spend the level's weight.
-The first subphase of every phase gathers per-point request counts, after
-which the server tours the most-requested points, one per subphase.  Weight
-rounding makes every subphase boundary land exactly: each rounded weight is
-an integral multiple of the charged cost of one complete lower-level phase.
+The bottom server chases its coordinate on every counted request, and a
+bottom phase is a fixed number of counted requests.  Each level i from 2 to
+k moves its server only at subphase boundaries; a subphase lasts exactly as
+long as the levels below it need to spend the level's weight.  The first
+subphase of every phase gathers per-point request counts, after which the
+server tours the most-requested points, one per subphase.  Weight rounding
+makes every subphase boundary land exactly: each rounded weight is an
+integral multiple of the charged cost of one complete lower-level phase.
 
 Costs are tracked twice: `actual` is what the run really pays (staying put
 is free), `charged` prices every scheduled move at the level weight, which
-is the accounting the subphase boundaries are defined by.  Charged never
-undercounts actual.  A phase opens with a move to an arbitrary point,
-realized as staying put; it is charged when the previous phase closes (at
-construction for the first), since nothing is spent before the next counted
-request.  Each level's open phase is recorded as its `phase_report` entry.
+is the accounting the subphase boundaries are defined by.  Each cost is
+added once, to run totals: actual costs to `total_cost`, the bottom
+server's (1 actual and charged per counted request) to `counted`, and the
+charged moves of levels 2 and up to `charged`.  A subphase's ledgers are
+the totals' growth since it opened, after its level's own move and any cost
+paid above it.  Charged never undercounts actual.  A phase opens with a
+move to an arbitrary point, realized as staying put; it is charged when the
+previous phase closes (at construction for the first, top level first),
+since nothing is spent before the next counted request.  Each level's open
+phase is recorded as its `phase_report` entry.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from .core import (
     Instance,
     InvalidInputError,
     InvariantViolationError,
+    check_point_bits,
     format_fraction,
     satisfies,
 )
@@ -131,19 +139,19 @@ def learning_topk(counts: Mapping[int, int], c: int, n_points: int) -> list[int]
 
 
 class _Level:
-    """One level's state.  `counts` tallies the open subphase's counted
-    requests per point, so its sum is also what the bottom server spent
-    below, at actual and charged weight 1 each; `lower_actual` and
-    `lower_charged` gather what levels 2 and up spend, until the close.
-    `record` is the open phase's `phase_report` entry, filled as subphases
-    close (point counts only when recorded).  `light[p]` turns True at the
+    """The state of one level i >= 2; the bottom server is the configuration's
+    first coordinate and needs none.  `counts` tallies the open subphase's
+    counted requests per point.  `opened` holds the run's totals (actual,
+    counted, charged) when the subphase opened, so its ledgers are their
+    growth since.  `record` is the open phase's `phase_report` entry, filled
+    as subphases close (point counts only when recorded), and
+    `phase_records` holds the completed ones.  `light[p]` turns True at the
     first close where point p had at most 1/c of the subphase's requests,
     so `fraction_ok` needs no per-subphase counts."""
 
     __slots__ = (
-        "i", "w", "c", "m", "n_real", "pos", "lower_phases", "counts",
-        "lower_actual", "lower_charged", "record", "light",
-        "completed_phases", "phase_records", "keep_counts",
+        "i", "w", "c", "m", "n_real", "pos", "keep_counts", "lower_phases", "counts",
+        "opened", "record", "light", "phase_records",
     )
 
     def __init__(self, i: int, w: int, c: int, m: int, n_real: int, pos: int,
@@ -155,29 +163,23 @@ class _Level:
         self.n_real = n_real
         self.pos = pos
         self.keep_counts = keep_counts
-        self.completed_phases = 0
+        self.lower_phases = 0
+        self.counts: dict[int, int] = {}
         self.phase_records: list[dict] = []
         self._reset_phase()
 
     def _reset_phase(self):
-        self.lower_phases = 0
         self.record = {
-            "index": self.completed_phases + 1,   # 1-based among the level's phases
-            "requests_per_subphase": [],          # counted
-            "lower_actual_per_subphase": [],      # paid below
-            "lower_charged_per_subphase": [],     # charged below
-            "move_costs": [],                     # actual cost of each tour move
-            "pool": None,                         # ranked at the first subphase's close
+            "index": len(self.phase_records) + 1,  # 1-based among the level's phases
+            "requests_per_subphase": [],           # counted
+            "lower_actual_per_subphase": [],       # paid below
+            "lower_charged_per_subphase": [],      # charged below
+            "move_costs": [],                      # actual cost of each tour move
+            "pool": None,                          # ranked at the first subphase's close
         }
         if self.keep_counts:
             self.record["point_counts"] = []
         self.light = [False] * self.n_real
-        self._reset_subphase()
-
-    def _reset_subphase(self):
-        self.counts = {}
-        self.lower_actual = 0
-        self.lower_charged = 0
 
 
 class WeightedAlgorithm:
@@ -185,7 +187,8 @@ class WeightedAlgorithm:
 
     Requests the joint configuration already satisfies are filtered: no
     counter advances and nothing moves.  Costs are in normalized rounded
-    weight units (the first metric's rounded weight is 1).
+    weight units (the first metric's rounded weight is 1).  `_levels` holds
+    levels 2..k; `phase` is the top level's open phase.
     """
 
     randomized = False
@@ -193,6 +196,7 @@ class WeightedAlgorithm:
     def __init__(self, instance: Instance, start: Sequence[int] | None = None,
                  keep_transcript: bool = True, table: ConstantTable | None = None,
                  record_point_counts: bool = True):
+        check_point_bits(instance)
         self.instance = instance
         self.table = table or DEFAULT_TABLE
         self.rounded = round_weights(instance.weights, table=self.table)
@@ -201,36 +205,28 @@ class WeightedAlgorithm:
 
         self.phase_len_1 = 2 * (self.table.c(1) + 1)
         self._levels = [_Level(i, w, self.table.c(i), m, n, pos, record_point_counts)
-                        for i, w, m, n, pos in zip(range(1, instance.k + 1), self.rounded.rounded,
-                                                   (1,) + self.rounded.multipliers,
-                                                   instance.sizes, start)]
-        self._lvl1 = self._levels[0]
-        self._upper = self._levels[1:]
-        self._top = self._levels[-1]
-        self._current: Config = start
-        for level in self._upper:
-            self._open_phase(level)
-
-        self.total_cost = 0
+                        for i, w, m, n, pos in zip(range(2, instance.k + 1), self.rounded.rounded[1:],
+                                                   self.rounded.multipliers, instance.sizes[1:],
+                                                   start[1:])]
+        self.current: Config = start
+        self.phase = 1
+        self.total_cost = 0   # actual, every level
+        self.counted = 0      # also the bottom server's cost, actual and charged
+        self.charged = 0      # charged moves of levels 2 and up
         self.filtered = 0
-        self.counted = 0
+        for level in reversed(self._levels):
+            # the first phase's opening move, charged to the levels above
+            self.charged += level.w
+            level.opened = (0, 0, self.charged)
         self.transcript: list[Step] | None = [] if keep_transcript else None
         self.phase_summaries: list[PhaseSummary] = []
 
     # -- public surface -----------------------------------------------------
 
-    @property
-    def current(self) -> Config:
-        return self._current
-
-    @property
-    def phase(self) -> int:
-        return self._top.completed_phases + 1
-
     def serve(self, r: Sequence[int]) -> Step:
         r = self.instance.check_coords(r)
-        pre = self._current
-        top_phase = self._top.completed_phases + 1
+        pre = self.current
+        top_phase = self.phase
         summaries = self.phase_summaries
         if not summaries or summaries[-1].complete:
             summaries.append(PhaseSummary(top_phase))
@@ -247,29 +243,18 @@ class WeightedAlgorithm:
         self.counted += 1
         phase_start = summary.requests == 0
         summary.requests += 1
-
-        lvl1 = self._lvl1
-        if lvl1.pos == r[0]:
-            raise InvariantViolationError(
-                "counted request already matched the bottom server"
-            )
-        for level, p in zip(self._upper, r[1:]):
-            # per-subphase tally of what the metric is asked for, which also
-            # counts the bottom server's moves below (see `_Level`)
+        for level, p in zip(self._levels, r[1:]):
             level.counts[p] = level.counts.get(p, 0) + 1
 
         # the bottom server chases its coordinate on every counted request
-        lvl1.pos = r[0]
         cost = 1
         self.total_cost += 1
-
         if self.counted % self.phase_len_1 == 0:
-            lvl1.completed_phases += 1
             cost += self._cascade(2)
-            post = tuple(level.pos for level in self._levels)
+            post = r[:1] + tuple(level.pos for level in self._levels)
         else:
             post = r[:1] + pre[1:]
-        self._current = post
+        self.current = post
 
         moved = post != pre
         step = Step(self.counted + self.filtered, top_phase, r, pre, post, cost, 0, 0, 0,
@@ -278,7 +263,7 @@ class WeightedAlgorithm:
         summary.cost += cost
         if self.transcript is not None:
             self.transcript.append(step)
-        if self._top.completed_phases == top_phase:
+        if self.phase != top_phase:
             # the top level completed its phase on this request
             summary.complete = True
         return step
@@ -293,22 +278,12 @@ class WeightedAlgorithm:
 
     # -- internals ----------------------------------------------------------
 
-    def _propagate(self, from_level: int, actual: int, charged: int) -> None:
-        """Account a cost of level `from_level` (2 or up) into every strictly
-        higher level's subphase."""
-        for level in self._levels[from_level:]:
-            level.lower_actual += actual
-            level.lower_charged += charged
-
-    def _open_phase(self, level: _Level) -> None:
-        """Charge a phase's opening move, realized as staying put."""
-        self._propagate(level.i, actual=0, charged=level.w)
-
     def _cascade(self, i: int) -> int:
         """Level i-1 just completed a phase; returns extra actual cost paid."""
         if i > self.instance.k:
+            self.phase += 1
             return 0
-        level = self._levels[i - 1]
+        level = self._levels[i - 2]
         level.lower_phases += 1
         if level.lower_phases < level.m:
             return 0
@@ -316,47 +291,49 @@ class WeightedAlgorithm:
         # subphase boundary: the level's weight has been spent below, exactly,
         # the bottom server's one move per counted request included
         level.lower_phases = 0
-        counts, c = level.counts, level.c
-        nreq = sum(counts.values())
-        level.lower_actual += nreq
-        level.lower_charged += nreq
-        if level.lower_charged != level.w:
+        actual_at, counted_at, charged_at = level.opened
+        nreq = self.counted - counted_at
+        actual = self.total_cost - actual_at
+        charged = nreq + self.charged - charged_at
+        if charged != level.w:
             raise InvariantViolationError(
-                f"level {i} subphase closed at charged cost {level.lower_charged}, "
+                f"level {i} subphase closed at charged cost {charged}, "
                 f"expected exactly {level.w}"
             )
-        if level.lower_actual > level.lower_charged:
+        if actual > charged:
             raise InvariantViolationError(
-                f"level {i} subphase closed at actual cost {level.lower_actual}, "
-                f"above its charged cost {level.lower_charged}"
+                f"level {i} subphase closed at actual cost {actual}, "
+                f"above its charged cost {charged}"
             )
+        counts, c = level.counts, level.c
         rec = level.record
         rec["requests_per_subphase"].append(nreq)
-        rec["lower_actual_per_subphase"].append(level.lower_actual)
-        rec["lower_charged_per_subphase"].append(level.lower_charged)
+        rec["lower_actual_per_subphase"].append(actual)
+        rec["lower_charged_per_subphase"].append(charged)
         level.light = [was or counts.get(p, 0) * c <= nreq for p, was in enumerate(level.light)]
         if level.keep_counts:
             rec["point_counts"].append({str(p): n for p, n in sorted(counts.items())})
         if rec["pool"] is None:
             rec["pool"] = learning_topk(counts, c, level.n_real)
-        level._reset_subphase()
+        level.counts = {}
 
         if len(rec["requests_per_subphase"]) == c + 1:
             self._finish_level_phase(level)
             extra = self._cascade(i + 1)
-            self._open_phase(level)
-            return extra
-
-        # tour the next unvisited pool point
-        moves = rec["move_costs"]
-        target = rec["pool"][len(moves)]
-        actual = level.w if target != level.pos else 0
-        moves.append(actual)
-        level.pos = target
-        if actual:
-            self.total_cost += actual
-        self._propagate(i, actual=actual, charged=level.w)
-        return actual
+        else:
+            # tour the next unvisited pool point
+            moves = rec["move_costs"]
+            target = rec["pool"][len(moves)]
+            extra = level.w if target != level.pos else 0
+            moves.append(extra)
+            level.pos = target
+            self.total_cost += extra
+        # the move is charged at the level's weight (a new phase's opening
+        # move stays put); the next subphase opens after it and after any
+        # cost paid above
+        self.charged += level.w
+        level.opened = (self.total_cost, self.counted, self.charged)
+        return extra
 
     def _finish_level_phase(self, level: _Level) -> None:
         rec = level.record
@@ -378,7 +355,6 @@ class WeightedAlgorithm:
         rec["phase_cost_actual"] = sum(rec["lower_actual_per_subphase"]) + sum(moves)
         rec["phase_cost_bound"] = 2 * (level.c + 1) * level.w
         level.phase_records.append(rec)
-        level.completed_phases += 1
         level._reset_phase()
 
     # -- reporting ----------------------------------------------------------
@@ -390,16 +366,16 @@ class WeightedAlgorithm:
         levels = [{
             "level": 1,
             "weight": 1,
-            "complete_phases": self._lvl1.completed_phases,
+            "complete_phases": self.counted // self.phase_len_1,
             "requests_per_phase": self.phase_len_1,
         }]
-        for level in self._upper:
+        for level in self._levels:
             levels.append({
                 "level": level.i,
                 "weight": level.w,
                 "tour_size": level.c,
                 "multiplier": level.m,
-                "complete_phases": level.completed_phases,
+                "complete_phases": len(level.phase_records),
                 "phases": [dict(rec) for rec in level.phase_records],
             })
         return {

@@ -396,8 +396,8 @@ def test_criterion_8_weighted_anatomy():
     alg = WeightedAlgorithm(inst)
     assert alg.rounded.rounded == (1, 12) and alg.rounded.multipliers == (2,)
     drive_unsatisfied(alg, 3 * 396 + 200, seed=8)
-    level2 = alg._levels[1]
-    assert level2.completed_phases >= 3
+    level2 = alg._levels[0]
+    assert len(level2.phase_records) >= 3
     for rec in level2.phase_records:
         assert rec["subphases"] == 33
         assert set(rec["requests_per_subphase"]) == {2 * 6}
@@ -421,8 +421,8 @@ def test_criterion_8_weighted_anatomy():
     total_needed = (constants(3)[0] + 1) * 198  # 8193 subphases x 198 requests
     assert total_needed == 1_622_214
     drive_unsatisfied(alg3, total_needed + 500, seed=9)
-    l2, l3 = alg3._levels[1], alg3._levels[2]
-    assert l3.completed_phases >= 1
+    l2, l3 = alg3._levels
+    assert len(l3.phase_records) >= 1
     rec3 = l3.phase_records[0]
     assert rec3["subphases"] == 8193
     assert set(rec3["requests_per_subphase"]) == {198}
@@ -430,7 +430,7 @@ def test_criterion_8_weighted_anatomy():
     assert rec3["total_requests"] == 1_622_214
     assert len(set(rec3["pool"][:len(rec3["move_costs"])])) == 8192
     assert rec3["fraction_ok"]
-    assert l2.completed_phases >= 8193
+    assert len(l2.phase_records) >= 8193
     assert all(rec["subphases"] == 33 for rec in l2.phase_records)
     assert all(set(rec["requests_per_subphase"]) == {6} for rec in l2.phase_records)
     big_seconds = time.perf_counter() - t1
@@ -444,8 +444,8 @@ def test_criterion_8_weighted_anatomy():
     inst4 = Instance.make([2, 2, 2, 2], [1, 6, 60, 840])
     alg4 = WeightedAlgorithm(inst4, table=table, keep_transcript=False)
     drive_unsatisfied(alg4, 2 * 1890 + 100, seed=10)
-    top = alg4._levels[3]
-    assert top.completed_phases >= 2
+    top = alg4._levels[-1]
+    assert len(top.phase_records) >= 2
     for rec in top.phase_records:
         assert rec["subphases"] == table.c(4) + 1 == 9
         assert all(x == 840 for x in rec["lower_charged_per_subphase"])
@@ -454,7 +454,7 @@ def test_criterion_8_weighted_anatomy():
     ok = big_seconds < 600
     report(8, ok, (
         f"weighted anatomy: k=2 (1,7)->(1,12) with 33 subphases of cost 12 and "
-        f"396 requests per phase over {level2.completed_phases} phases "
+        f"396 requests per phase over {len(level2.phase_records)} phases "
         f"[{two_level_seconds:.1f}s]; k=3 complete phase of 8193 subphases / "
         f"1622214 requests in {big_seconds:.0f}s (< 600s); k>=4 infeasible at "
         f"default constants (c(4)={c4}), anatomy laws checked at scaled table"))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gks.core import Instance, InvalidInputError, satisfies
+from gks.core import MAX_POINT_BITS, Instance, InvalidInputError, ResourceLimitError, satisfies
 from gks.algorithms import (
     ALGORITHMS,
     AlternativeAlgorithm,
@@ -22,6 +22,7 @@ from gks.algorithms import (
     write_transcript,
 )
 from gks.adversaries import evasive_next, random_sequence, run_evasive
+from gks.weighted import WeightedAlgorithm
 
 from helpers import (
     NaiveFamily,
@@ -44,6 +45,23 @@ def test_requires_unit_weights():
     weighted = Instance.make([2, 2], [1, 3])
     with pytest.raises(InvalidInputError):
         GenericAlgorithm(weighted)
+
+
+@pytest.mark.parametrize("alg_id", ["det", "alt", "rand", "weighted"])
+def test_constructors_refuse_sizes_past_the_point_bit_bound(alg_id):
+    assert MAX_POINT_BITS == 2 ** 14
+
+    def build(sizes):
+        if alg_id == "weighted":
+            return WeightedAlgorithm(Instance.make(sizes, [1, 7]))
+        return make(alg_id, Instance.make(sizes))
+
+    with pytest.raises(ResourceLimitError,
+                       match=r"^k \* max\(sizes\) = 16386 exceeds the bound 16384$"):
+        build([2, 8193])
+    with pytest.raises(ResourceLimitError, match="exceeds the bound 16384$"):
+        build([10 ** 20, 2])
+    assert build([2, 8192]).current == (0, 0)
 
 
 def test_generic_no_move_when_satisfied():

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 from gks.adversaries import random_sequence
 from gks.algorithms import read_transcript, transcript_lines
-from gks import certify, cli
+from gks import certify, cli, spaces
 from gks.cli import exact_decimal, main
 from gks.certify import CertificateVerdicts, read_certificate, verify_certificate
 from gks.core import CertificateImpossibleError, Instance, write_sequence
@@ -327,6 +327,43 @@ def test_run_checks_optimum_caps_before_serving(runner, monkeypatch):
         assert result.exit_code == 3, result.output
         errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
         assert errors == ["error: state space 1953125 exceeds cap 10000"], result.stderr
+
+
+@pytest.mark.parametrize("alg, weights", [("det", "1,1"), ("weighted", "1,7")])
+@pytest.mark.parametrize("size, bits", [("99999999999999999999", "199999999999999999998"),
+                                        ("8193", "16386")])
+def test_run_refuses_sizes_past_the_point_bit_bound(runner, tmp_path, alg, weights, size, bits):
+    message = [f"error: k * max(sizes) = {bits} exceeds the bound 16384"]
+    flags = ["run", "--alg", alg, "--gen", "random", "--k", "2", "--sizes", size,
+             "--weights", weights, "--steps", "5"]
+    path = tmp_path / "big.gks"
+    path.write_text(f"gks-seq v1\nk=2\nsizes={size},3\nweights={weights}\n0,1\n")
+    for args in (flags, ["run", "--alg", alg, "--seq", str(path)]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.stderr.splitlines() == message
+
+
+@pytest.mark.parametrize("alg, weights", [("det", "1,1"), ("weighted", "1,7")])
+def test_run_at_the_point_bit_bound(runner, alg, weights):
+    result = runner.invoke(main, ["run", "--alg", alg, "--gen", "random", "--k", "2",
+                                  "--sizes", "8192", "--weights", weights, "--steps", "20"])
+    spaces._bit_table.cache_clear()  # about 16 MiB at the bound
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["steps"] == 20
+
+
+def test_run_refuses_a_repeated_seed_before_serving(runner, tmp_path, monkeypatch):
+    def serve(*args, **kwargs):
+        raise AssertionError("served before the seeds were checked")
+
+    monkeypatch.setattr(cli, "_execute_run", serve)
+    result = runner.invoke(main, ["run", "--alg", "det", "--gen", "random", "--k", "2",
+                                  "--sizes", "3", "--seeds", "1,2,1",
+                                  "--out", str(tmp_path / "o.json")])
+    assert_input_error(result, "--seeds: repeated seed in 1,2,1")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_duel_oblivious_label(runner, tmp_path):

@@ -33,7 +33,9 @@ def run_weighted(alg, steps, seed, after_serve=None):
 
 
 def assert_current_is_level_positions(alg):
-    assert alg.current == tuple(level.pos for level in alg._levels)
+    # levels 2..k; the bottom server is the first coordinate itself
+    assert len(alg.current) == alg.instance.k
+    assert alg.current[1:] == tuple(level.pos for level in alg._levels)
 
 
 def test_constant_values():
@@ -106,11 +108,23 @@ def test_learning_topk():
 
 
 def test_bottom_level_phase_length():
+    # k = 1: 2 (c(1)+1) = 6 counted requests per phase, and every third
+    # request is one the bottom server already meets, which counts for nothing
     inst = Instance.make([3], [1])
     alg = WeightedAlgorithm(inst)
-    run_weighted(alg, 13, seed=0)
-    # 2 (c(1)+1) = 6 requests per phase
-    assert alg._lvl1.completed_phases == 2
+    rng = random.Random(0)
+    counted = 0
+    for t in range(40):
+        r = alg.current if t % 3 == 2 else evasive_next(inst, alg.current, rng)
+        counted += not satisfies(alg.current, r)
+        alg.serve(r)
+        assert alg.counted == counted
+        assert alg.phase == counted // 6 + 1
+        summaries = alg.phase_summaries
+        assert [s.phase for s in summaries] == list(range(1, len(summaries) + 1))
+        assert [s.complete for s in summaries] == [s.phase <= counted // 6 for s in summaries]
+        assert alg.phase_report()["levels"][0]["complete_phases"] == counted // 6
+    assert counted == 27 and alg.phase == 5
     assert alg.phase_summaries[0].requests == 6
     assert alg.phase_summaries[0].cost == 6
 
@@ -121,10 +135,10 @@ def test_filtered_requests_change_nothing():
     run_weighted(alg, 20, seed=1)
     counted = alg.counted
     cost = alg.total_cost
-    level2 = alg._levels[1]
+    level2 = alg._levels[0]
 
     def snapshot():
-        return (dict(level2.counts), level2.lower_actual, level2.lower_charged,
+        return (dict(level2.counts), level2.opened, alg.charged, alg.phase,
                 json.dumps(level2.record, sort_keys=True))
 
     before = snapshot()
@@ -141,8 +155,8 @@ def test_two_level_anatomy_default_constants():
     assert alg.rounded.rounded == (1, 12)
     # one complete phase = 33 subphases of 2 bottom phases of 6 requests
     run_weighted(alg, 2 * 396 + 100, seed=3)
-    level2 = alg._levels[1]
-    assert level2.completed_phases >= 2
+    level2 = alg._levels[0]
+    assert len(level2.phase_records) >= 2
     for rec in level2.phase_records:
         assert rec["subphases"] == 33
         assert rec["total_requests"] == 33 * 2 * 6 == 396
@@ -161,7 +175,7 @@ def test_two_level_fraction_breakdown():
     inst = Instance.make([2, 4], [1, 7])
     alg = WeightedAlgorithm(inst)
     run_weighted(alg, 500, seed=8)
-    level2 = alg._levels[1]
+    level2 = alg._levels[0]
     assert level2.phase_records
     for rec in level2.phase_records:
         assert "point_counts" in rec
@@ -180,7 +194,7 @@ def test_fraction_flags_match_recorded_counts_in_both_modes():
         r = evasive_next(inst, kept.current, rng)
         kept.serve(r)
         lean.serve(r)
-        level, lean_level = kept._levels[1], lean._levels[1]
+        level, lean_level = kept._levels[0], lean._levels[0]
         rec = level.record
         assert level.light == [any(counts.get(str(p), 0) * level.c <= nreq
                                    for counts, nreq in zip(rec["point_counts"],
@@ -188,7 +202,7 @@ def test_fraction_flags_match_recorded_counts_in_both_modes():
                                for p in range(level.n_real)]
         assert lean_level.light == level.light
         assert "point_counts" not in lean_level.record
-    records, lean_records = kept._levels[1].phase_records, lean._levels[1].phase_records
+    records, lean_records = kept._levels[0].phase_records, lean._levels[0].phase_records
     assert len(records) == 2
     assert [r["fraction_ok"] for r in records] == [r["fraction_ok"] for r in lean_records]
     assert all("point_counts" not in r for r in lean_records)
@@ -271,13 +285,16 @@ def test_phase_report_entries_are_copies():
 
 def test_phase_opening_charged_at_construction():
     # every upper level's first phase opens with a move charged at its
-    # weight into the levels above it, before any request is served
+    # weight into the levels above it, before any request is served: a
+    # level's ledgers are the run totals' growth since its subphase opened
     table = ConstantTable({1: 2, 2: 4, 3: 8, 4: 16})
     alg = WeightedAlgorithm(Instance.make([3, 3, 3, 3], [1, 6, 60, 1080]), table=table)
     w = alg.rounded.rounded
-    for i, level in enumerate(alg._levels, start=1):
-        assert level.lower_actual == 0
-        assert level.lower_charged == sum(w[j - 1] for j in range(2, i))
+    assert alg.charged == sum(w[1:])
+    for i, level in enumerate(alg._levels, start=2):
+        actual_at, counted_at, charged_at = level.opened
+        assert alg.total_cost - actual_at == 0 and alg.counted - counted_at == 0
+        assert alg.charged - charged_at == sum(w[j - 1] for j in range(2, i))
 
 
 def test_three_level_anatomy_scaled_constants():
@@ -289,8 +306,8 @@ def test_three_level_anatomy_scaled_constants():
     # level-2 phase: 5 subphases x 1 x 6 = 30 requests
     # level-3 phase: 9 subphases x 1 x 30 = 270 requests
     run_weighted(alg, 2 * 270 + 30, seed=4)
-    l2, l3 = alg._levels[1], alg._levels[2]
-    assert l3.completed_phases >= 2
+    l2, l3 = alg._levels
+    assert len(l3.phase_records) >= 2
     for rec in l3.phase_records:
         assert rec["subphases"] == 9
         assert rec["total_requests"] == 270
@@ -310,7 +327,7 @@ def test_top_cost_bound_per_phase():
     inst = Instance.make([2, 2], [1, 9])
     alg = WeightedAlgorithm(inst)
     run_weighted(alg, 900, seed=5)
-    level2 = alg._levels[1]
+    level2 = alg._levels[0]
     w2 = alg.rounded.rounded[1]
     for rec in level2.phase_records:
         assert rec["phase_cost_actual"] <= 2 * (level2.c + 1) * w2
@@ -354,7 +371,7 @@ def test_cached_configuration_matches_level_positions(sizes, weights, table, ste
     alg = WeightedAlgorithm(Instance.make(sizes, weights), table=table)
     assert_current_is_level_positions(alg)
     run_weighted(alg, steps, seed=6, after_serve=assert_current_is_level_positions)
-    assert alg._top.completed_phases >= 2
+    assert len(alg._levels[-1].phase_records) >= 2 and alg.phase >= 3
     alg.serve((alg.current[0],) + (0,) * (len(sizes) - 1))
     assert alg.filtered == 1
     assert_current_is_level_positions(alg)
@@ -365,7 +382,7 @@ def test_subphase_close_checks_actual_against_charged():
     run_weighted(alg, 5, seed=1)
     # a cost paid but never charged: the level-2 subphase closes at 12
     # charged, with more than that actually spent below
-    alg._levels[1].lower_actual += 12
+    alg.total_cost += 12
     with pytest.raises(InvariantViolationError, match="above its charged cost 12"):
         run_weighted(alg, 12, seed=2)
 
