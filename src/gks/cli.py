@@ -33,13 +33,18 @@ from .core import (
 )
 from .algorithms import (
     ALGORITHMS,
-    RandomizedAlgorithm,
     read_transcript,
     write_transcript,
 )
 from .adversaries import random_sequence, run_closed_loop, run_evasive
 from .certify import certify_transcript, write_certificate
-from .offline import check_caps, opt_cost, work_function_minima
+from .offline import (
+    DEFAULT_STATE_CAP,
+    DEFAULT_WORK_CAP,
+    check_caps,
+    opt_cost,
+    work_function_minima,
+)
 from .weighted import WeightedAlgorithm
 
 REPORT_SCHEMA = "gks-report v1"
@@ -82,9 +87,11 @@ def _parse_flag(flag: str, parse, text: str):
         _fail(EXIT_INPUT, f"{flag}: {e}")
 
 
-def _parse_tuple(text: str, instance: Instance, what: str):
-    coords = _parse_flag("--start", parse_ints, text)
-    return instance.check_coords(coords, what)
+def _parse_start(text: str | None, instance: Instance):
+    """The `--start` configuration; all zeros when the flag is absent."""
+    if text is None:
+        return (0,) * instance.k
+    return instance.check_coords(_parse_flag("--start", parse_ints, text), "start configuration")
 
 
 def _instance_from_flags(k, sizes, weights):
@@ -93,8 +100,8 @@ def _instance_from_flags(k, sizes, weights):
     size_list = _parse_flag("--sizes", parse_ints, sizes)
     if len(size_list) == 1:
         size_list *= k
-    weight_list = _parse_flag("--weights", parse_fractions, weights) if weights \
-        else (Fraction(1),) * k
+    weight_list = (Fraction(1),) * k if weights is None \
+        else _parse_flag("--weights", parse_fractions, weights)
     return Instance(k, size_list, weight_list)
 
 
@@ -128,51 +135,26 @@ def _write_report(report: dict, out: str | None):
         click.echo(text)
 
 
-def _build_algorithm(alg: str, instance: Instance, seed: int, start, keep_transcript: bool):
-    if alg == "weighted":
-        return WeightedAlgorithm(instance, start=start, keep_transcript=keep_transcript)
-    cls = ALGORITHMS[alg]
-    if cls is RandomizedAlgorithm:
-        return cls(instance, seed, start=start, keep_transcript=keep_transcript)
-    return cls(instance, start=start, keep_transcript=keep_transcript)
-
-
 def _execute_run(alg: str, instance: Instance, requests, gen: str | None,
                  steps: int, seed: int, start, keep_transcript: bool) -> tuple:
-    algorithm = _build_algorithm(alg, instance, seed, start, keep_transcript)
-    if requests is not None:
-        algorithm.run(requests)
-        seq = requests
-    elif gen == "random":
-        seq = random_sequence(instance, steps, seed)
-        algorithm.run(seq)
-    else:
-        seq = run_evasive(algorithm, steps, seed)
-    return algorithm, seq
+    """Serve one run: (algorithm, served requests, a new dict of the traffic's
+    report fields).
 
-
-def _run_report(alg, instance, algorithm, seq, seed, opt, certificates, wall) -> dict:
-    report = {
-        "schema": REPORT_SCHEMA,
-        "instance": _instance_echo(instance),
-        "algorithm": alg,
-        "seed": seed,
-        "steps": len(seq),
-        "total_cost": format_fraction(algorithm.total_cost),
-        "phases": _phases_field(algorithm.phase_summaries),
-        "wall_clock_sec": wall,
-    }
-    if isinstance(algorithm, WeightedAlgorithm):
-        report["weighted_anatomy"] = algorithm.phase_report()
-        report["cost_units"] = "rounded-normalized"
-    if opt is not None:
-        report["opt"] = format_fraction(opt)
-        ratio = Fraction(algorithm.total_cost) / max(opt, Fraction(1))
-        report["ratio"] = exact_decimal(ratio)
-        report["ratio_exact"] = format_fraction(ratio)
-    if certificates is not None:
-        report["certificates"] = certificates
-    return report
+    The traffic is `requests`, or `steps` requests of `gen` "random" or
+    "evasive", or `steps` rounds of the "antipodal" closed-loop duel."""
+    cls = WeightedAlgorithm if alg == "weighted" else ALGORITHMS[alg]
+    seeded = (seed,) if cls.randomized else ()
+    algorithm = cls(instance, *seeded, start=start, keep_transcript=keep_transcript)
+    if gen == "evasive":
+        return algorithm, run_evasive(algorithm, steps, seed), {}
+    if gen == "antipodal":
+        result = run_closed_loop(algorithm, steps)
+        return algorithm, result.requests, {
+            "adversary": gen, "adversary_model": result.adversary_model,
+            "rounds": result.rounds_completed, "round_lengths": result.round_lengths}
+    seq = random_sequence(instance, steps, seed) if gen == "random" else requests
+    algorithm.run(seq)
+    return algorithm, seq, {}
 
 
 def _run_one(alg: str, instance: Instance, requests, gen, steps, seed, start, with_opt: bool,
@@ -183,21 +165,35 @@ def _run_one(alg: str, instance: Instance, requests, gen, steps, seed, start, wi
     not file writes.
     """
     t0 = time.perf_counter()
-    algorithm, seq = _execute_run(alg, instance, requests, gen, steps, seed, start,
-                                  keep_transcript)
-    certificates = None
+    algorithm, seq, fields = _execute_run(alg, instance, requests, gen, steps, seed, start,
+                                          keep_transcript)
     if with_certify:
-        results = certify_transcript(instance, algorithm.transcript)
-        certificates = [{"phase": phase, "length": cert.length, **asdict(v)}
-                        for phase, cert, v in results]
-    opt = None
+        fields["certificates"] = [
+            {"phase": phase, "length": cert.length, **asdict(v)}
+            for phase, cert, v in certify_transcript(instance, algorithm.transcript)]
     if with_opt:
         opt_instance = instance
         if alg == "weighted":
             opt_instance = Instance.make(instance.sizes, algorithm.rounded.rounded)
-        opt = opt_cost(opt_instance, start or (0,) * instance.k, seq)
+        opt = opt_cost(opt_instance, start, seq)
+        ratio = Fraction(algorithm.total_cost) / max(opt, Fraction(1))
+        fields.update(opt=format_fraction(opt), ratio=exact_decimal(ratio),
+                      ratio_exact=format_fraction(ratio))
     wall = round(time.perf_counter() - t0, 6)
-    report = _run_report(alg, instance, algorithm, seq, seed, opt, certificates, wall)
+    report = {
+        "schema": REPORT_SCHEMA,
+        "instance": _instance_echo(instance),
+        "algorithm": alg,
+        "seed": seed,
+        "steps": len(seq),
+        "total_cost": format_fraction(algorithm.total_cost),
+        "phases": _phases_field(algorithm.phase_summaries),
+        "wall_clock_sec": wall,
+        **fields,
+    }
+    if isinstance(algorithm, WeightedAlgorithm):
+        report["weighted_anatomy"] = algorithm.phase_report()
+        report["cost_units"] = "rounded-normalized"
     return report, algorithm, seq
 
 
@@ -239,7 +235,7 @@ def main():
 
 
 @main.command("run")
-@click.option("--alg", type=click.Choice(["det", "alt", "rand", "weighted"]), required=True)
+@click.option("--alg", type=click.Choice([*ALGORITHMS, "weighted"]), required=True)
 @click.option("--seq", "seq_file", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Request sequence file")
 @click.option("--gen", type=click.Choice(["random", "evasive"]), default=None,
@@ -273,9 +269,9 @@ def cmd_run(alg, seq_file, gen, steps, k, sizes, weights, seed, seeds, jobs,
     else:
         instance = _instance_from_flags(k, sizes, weights)
         requests = None
-    start_cfg = _parse_tuple(start, instance, "start configuration") if start else None
+    start_cfg = _parse_start(start, instance)
 
-    seed_list = _parse_flag("--seeds", parse_ints, seeds) if seeds else (seed,)
+    seed_list = (seed,) if seeds is None else _parse_flag("--seeds", parse_ints, seeds)
     if len(set(seed_list)) < len(seed_list):
         # one report file per seed: a repeat would serve twice and overwrite
         _fail(EXIT_INPUT, f"--seeds: repeated seed in {seeds}")
@@ -324,8 +320,9 @@ def cmd_run(alg, seq_file, gen, steps, k, sizes, weights, seed, seeds, jobs,
 @main.command("opt")
 @click.option("--seq", "seq_file", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--start", type=str, default=None, help="Start configuration; defaults to all zeros")
-@click.option("--state-cap", type=click.IntRange(min=0), default=10_000, show_default=True)
-@click.option("--work-cap", type=click.IntRange(min=0), default=50_000_000, show_default=True,
+@click.option("--state-cap", type=click.IntRange(min=0), default=DEFAULT_STATE_CAP,
+              show_default=True)
+@click.option("--work-cap", type=click.IntRange(min=0), default=DEFAULT_WORK_CAP, show_default=True,
               help="Cap on requests * k * (n1-1)*...*(nk-1), the box updates' work")
 @click.option("--trace-wf", is_flag=True, default=False,
               help="Also print the cheapest table value after every request; "
@@ -333,8 +330,7 @@ def cmd_run(alg, seq_file, gen, steps, k, sizes, weights, seed, seeds, jobs,
 def cmd_opt(seq_file, start, state_cap, work_cap, trace_wf):
     """Print the exact offline optimum for a sequence file."""
     instance, requests = read_sequence(seq_file)
-    start_cfg = _parse_tuple(start, instance, "start configuration") if start \
-        else (0,) * instance.k
+    start_cfg = _parse_start(start, instance)
     if trace_wf:
         minima = work_function_minima(instance, start_cfg, requests,
                                       state_cap=state_cap, work_cap=work_cap)
@@ -347,7 +343,7 @@ def cmd_opt(seq_file, start, state_cap, work_cap, trace_wf):
 
 
 @main.command("duel")
-@click.option("--alg", type=click.Choice(["det", "alt", "rand"]), default="det",
+@click.option("--alg", type=click.Choice(list(ALGORITHMS)), default="det",
               show_default=True)
 @click.option("--adversary", type=click.Choice(["antipodal"]), default="antipodal",
               show_default=True)
@@ -363,24 +359,18 @@ def cmd_duel(alg, adversary, k, rounds, seed, start, out, dump_seq):
     # every round has at least 2^k - 1 requests, so an optimum out of reach
     # is refused before serving
     check_caps(instance, rounds * (2 ** k - 1))
-    start_cfg = _parse_tuple(start, instance, "start configuration") if start else None
-    t0 = time.perf_counter()
-    algorithm = _build_algorithm(alg, instance, seed, start_cfg, keep_transcript=False)
-    result = run_closed_loop(algorithm, rounds)
-    opt = opt_cost(instance, start_cfg or (0,) * k, result.requests)
-    wall = round(time.perf_counter() - t0, 6)
-    report = _run_report(alg, instance, algorithm, result.requests, seed, opt, None, wall)
-    report.update(adversary=adversary, adversary_model=result.adversary_model,
-                  rounds=result.rounds_completed, round_lengths=result.round_lengths)
+    start_cfg = _parse_start(start, instance)
+    report, _, seq = _run_one(alg, instance, None, adversary, rounds, seed, start_cfg,
+                              with_opt=True, with_certify=False, keep_transcript=False)
     if dump_seq:
-        _write(dump_seq, write_sequence, instance, result.requests)
+        _write(dump_seq, write_sequence, instance, seq)
     _write_report(report, out)
 
 
 @main.command("certify")
 @click.option("--transcript", "transcript_file", type=click.Path(exists=True, dir_okay=False),
               default=None)
-@click.option("--alg", type=click.Choice(["det", "alt", "rand"]), default=None)
+@click.option("--alg", type=click.Choice(list(ALGORITHMS)), default=None)
 @click.option("--seq", "seq_file", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--cert-out", type=click.Path(file_okay=False), default=None,
@@ -398,12 +388,12 @@ def cmd_certify(transcript_file, alg, seq_file, seed, cert_out):
         if seq_file is None:
             _fail(EXIT_INPUT, "--alg needs --seq")
         instance, requests = read_sequence(seq_file)
-        algorithm, _ = _execute_run(alg, instance, requests, None, 0, seed, None,
-                                    keep_transcript=True)
+        algorithm, _, _ = _execute_run(alg, instance, requests, None, 0, seed, None,
+                                       keep_transcript=True)
         steps = algorithm.transcript
     results = certify_transcript(instance, steps)
     all_ok = True
-    for phase, cert, v in results:
+    for i, (phase, cert, v) in enumerate(results):
         ok = v.all_ok
         all_ok &= ok
         click.echo(
@@ -412,8 +402,9 @@ def cmd_certify(transcript_file, alg, seq_file, seed, cert_out):
             f"=> {'OK' if ok else 'VIOLATION'}"
         )
         if cert_out:
-            out_dir = Path(cert_out)
-            _write(out_dir, Path.mkdir, parents=True, exist_ok=True)
+            if not i:  # made once, at the first certificate: no phase, no directory
+                out_dir = Path(cert_out)
+                _write(out_dir, Path.mkdir, parents=True, exist_ok=True)
             _write(out_dir / f"phase{phase:04d}.cert", write_certificate, instance, cert, v)
     if not results:
         click.echo("no complete phases to certify")

@@ -93,10 +93,7 @@ class Instance:
     def make(cls, sizes: Sequence[int], weights: Sequence[WeightLike] | None = None) -> "Instance":
         """Build an instance from point counts; weights default to all 1."""
         sizes = tuple(sizes)
-        if weights is None:
-            ws = tuple(Fraction(1) for _ in sizes)
-        else:
-            ws = tuple(Fraction(w) for w in weights)
+        ws = (Fraction(1),) * len(sizes) if weights is None else tuple(map(Fraction, weights))
         return cls(len(sizes), sizes, ws)
 
     @classmethod

@@ -20,7 +20,7 @@ lexicographic order.  Tuples appear only where the family meets callers.
 from __future__ import annotations
 
 import math
-from functools import cache
+from functools import lru_cache
 from operator import getitem
 from typing import Sequence
 
@@ -40,10 +40,11 @@ def pattern_str(pattern: Pattern) -> str:
     return ",".join("*" if v is None else str(v) for v in pattern)
 
 
-@cache
+@lru_cache(maxsize=1)
 def _bit_table(k: int, width: int) -> tuple[tuple[int, ...], ...]:
     """Per coordinate i, the row of its bits: entry x is `1 << ((k-1-i)*width + x)`.
-    Rows are immutable, as every family of this (k, width) shares them."""
+    Rows are immutable, as every family of this (k, width) shares them; only
+    the shape in use is kept, up to 16 MiB at the point-bit bound."""
     return tuple(tuple(1 << ((k - 1 - i) * width + x) for x in range(width)) for i in range(k))
 
 

@@ -374,6 +374,71 @@ def test_duel_oblivious_label(runner, tmp_path):
     assert read_report(out)["adversary_model"] == "oblivious-invalid"
 
 
+@pytest.mark.parametrize("with_start", [False, True])
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("alg", ["det", "alt", "rand"])
+def test_duel_report_is_its_replayed_run(runner, tmp_path, alg, k, with_start):
+    # a duel report is the run report of its dumped sequence plus the four
+    # fields of its traffic
+    flags = ["--seed", "5"]
+    if with_start:
+        flags += ["--start", ",".join(str(i % 2) for i in range(1, k + 1))]
+    duel, run, seq = tmp_path / "duel.json", tmp_path / "run.json", tmp_path / "duel.gks"
+    result = runner.invoke(main, ["duel", "--alg", alg, "--k", str(k), "--rounds", "3",
+                                  "--dump-seq", str(seq), "--out", str(duel)] + flags)
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["run", "--alg", alg, "--seq", str(seq), "--opt",
+                                  "--out", str(run)] + flags)
+    assert result.exit_code == 0, result.output
+    report = strip_wallclock(read_report(duel))
+    traffic = {key: report.pop(key)
+               for key in ("adversary", "adversary_model", "rounds", "round_lengths")}
+    assert traffic["adversary"] == "antipodal"
+    assert traffic["rounds"] == len(traffic["round_lengths"]) == 3
+    assert sum(traffic["round_lengths"]) == report["steps"]
+    assert report == strip_wallclock(read_report(run))
+
+
+GEN = ["run", "--alg", "det", "--gen", "random", "--k", "2", "--sizes", "3"]
+
+
+@pytest.mark.parametrize("args, flag", [
+    (GEN + ["--start", ""], "--start"),
+    (GEN + ["--weights", ""], "--weights"),
+    (GEN + ["--seeds", "", "--seed", "7"], "--seeds"),
+    (["duel", "--k", "2", "--start", ""], "--start"),
+    (["opt", "--start", ""], "--start"),
+], ids=["run-start", "run-weights", "run-seeds", "duel-start", "opt-start"])
+def test_empty_flag_values_are_input_errors(runner, seq_file, args, flag):
+    # an empty value is given, not absent: its flag's parser refuses it
+    if args[0] == "opt":
+        args = args + ["--seq", str(seq_file)]
+    result = runner.invoke(main, args)
+    assert_input_error(result, f"error: {flag}: bad ")
+    assert len(result.stderr.splitlines()) == 1, result.stderr
+    assert result.stdout == ""
+
+
+def test_certify_cert_out_holds_one_file_per_phase(runner, seq_file, tmp_path):
+    certs = tmp_path / "certs"
+    result = runner.invoke(main, ["certify", "--alg", "det", "--seq", str(seq_file),
+                                  "--cert-out", str(certs)])
+    assert result.exit_code == 0, result.output
+    phases = [line.split(":")[0].split()[1] for line in result.stdout.splitlines()]
+    assert phases
+    assert sorted(p.name for p in certs.iterdir()) == [f"phase{int(p):04d}.cert"
+                                                       for p in phases]
+    # no phase to certify, no directory
+    empty = tmp_path / "empty.gks"
+    write_sequence(empty, Instance.uniform(2, 2), [])
+    none = tmp_path / "none"
+    result = runner.invoke(main, ["certify", "--alg", "det", "--seq", str(empty),
+                                  "--cert-out", str(none)])
+    assert result.exit_code == 0, result.output
+    assert result.stdout == "no complete phases to certify\n"
+    assert not none.exists()
+
+
 def test_certify_inline_and_transcript(runner, seq_file, tmp_path):
     transcript = tmp_path / "t.tsv"
     result = runner.invoke(main, ["run", "--alg", "det", "--seq", str(seq_file),

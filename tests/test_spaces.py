@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gks.algorithms import nearest_space
+from gks import spaces
+from gks.adversaries import random_sequence
+from gks.algorithms import GenericAlgorithm, nearest_space
 from gks.core import (
     EmptyFamilyError,
+    Instance,
     InvalidInputError,
     InvariantViolationError,
     satisfies,
@@ -322,3 +325,14 @@ def test_family_matches_naive_beyond_31_coordinates():
     wide = opened(tuple(range(40)), [41] * 40)
     assert wide.update(tuple(range(1, 41)))
     assert len(wide) == 40 * 39 and wide.max_dimension_stats() == (38, 40 * 39)
+
+
+def test_only_the_bit_table_in_use_is_cached():
+    # one table per (k, width); serving a second shape drops the first
+    spaces._bit_table.cache_clear()
+    for instance in (Instance.uniform(3, 3), Instance.make([2, 5])):
+        GenericAlgorithm(instance, keep_transcript=False).run(random_sequence(instance, 30, 1))
+    info = spaces._bit_table.cache_info()
+    assert info.currsize == 1 and info.misses == 2 and info.hits > 0
+    assert FeasibleFamily(2, 5)._bits is spaces._bit_table(2, 5)
+    assert spaces._bit_table.cache_info().misses == 2
