@@ -45,12 +45,12 @@ TRANSCRIPT_HEADER = "gks-transcript v1"
 class Step:
     """One transcript row: what a single request did to the algorithm.
 
-    The first nine fields are the transcript's columns, in order.  The
-    transcript has no shrink column, so a `Step` read from a file has
+    A row's step number is its position in the transcript, counted from
+    1; the next eight fields are the transcript's other columns, in order.
+    The transcript has no shrink column, so a `Step` read from a file has
     `shrunk` False on every row.
     """
 
-    index: int
     phase: int
     request: Request
     pre: Config
@@ -108,11 +108,11 @@ def nearest_space(family: FeasibleFamily, current: Config) -> int:
 class OnlineAlgorithm:
     """Shared phase and transcript machinery for the unit-weight algorithms.
 
-    State: current configuration, cumulative cost, 1-based phase counter,
-    the phase's feasible family (never empty once a request is served), one
-    `PhaseSummary` per phase opened so far, and optionally the full
-    transcript.  After `serve(r)` the current configuration satisfies r and
-    the cost grew by the move's Hamming distance.
+    State: current configuration, cumulative cost, the phase's feasible
+    family (never empty once a request is served), one `PhaseSummary` per
+    phase opened so far, numbered from 1 by position, and optionally the
+    full transcript.  After `serve(r)` the current configuration satisfies
+    r and the cost grew by the move's Hamming distance.
     """
 
     randomized = False
@@ -130,11 +130,9 @@ class OnlineAlgorithm:
             start = (0,) * instance.k
         self.current: Config = instance.check_coords(start, what="start configuration")
         self.total_cost = 0
-        self.phase = 0
         self.family: FeasibleFamily | None = None
         self.transcript: list[Step] | None = [] if keep_transcript else None
         self.phase_summaries: list[PhaseSummary] = []
-        self._step_index = 0
 
     def _close_phase(self, complete: bool) -> None:
         """Fill in the open phase's summary from the family it ends with."""
@@ -151,6 +149,7 @@ class OnlineAlgorithm:
     def serve(self, r: Sequence[int]) -> Step:
         r = self.instance.check_coords(r)
         pre = self.current
+        summaries = self.phase_summaries
         family, phase_start, shrunk = next_family(self.family, r, self.instance.sizes)
         if phase_start:
             if self.family is not None:
@@ -160,8 +159,7 @@ class OnlineAlgorithm:
                     )
                 self._close_phase(complete=True)
             self.family = family
-            self.phase += 1
-            self.phase_summaries.append(PhaseSummary(self.phase))
+            summaries.append(PhaseSummary(len(summaries) + 1))
 
         post = self._serve(r, phase_start, shrunk)
         if not satisfies(post, r):
@@ -169,13 +167,12 @@ class OnlineAlgorithm:
         cost = 0 if post is pre else hamming(pre, post)  # staying put is free
         self.current = post
         self.total_cost += cost
-        self._step_index += 1
 
         max_dim, max_count = family.max_dimension_stats()
         moved = cost > 0
-        step = Step(self._step_index, self.phase, r, pre, post, cost, len(family),
+        summary = summaries[-1]
+        step = Step(summary.phase, r, pre, post, cost, len(family),
                     max_dim, max_count, moved, shrunk, phase_start)
-        summary = self.phase_summaries[-1]
         summary.requests += 1
         summary.moves += moved
         summary.shrinks += shrunk
@@ -338,16 +335,15 @@ class DistributionTracker:
         self.instance = instance
         self.family: FeasibleFamily | None = None
         self._masses: dict[int, Fraction] = {}  # maximal mask -> probability
-        self.phase = 0
         self.steps: list[TrackerStep] = []
 
     def step(self, r: Sequence[int]) -> TrackerStep:
         r = self.instance.check_coords(r)
-        m_prev = self.steps[-1].m_cur if self.steps else -1
+        # a step's phase is the previous step's plus its phase start
+        m_prev, phase = (self.steps[-1].m_cur, self.steps[-1].phase) if self.steps else (-1, 0)
         size_prev = len(self._masses)
         self.family, phase_start, _ = next_family(self.family, r, self.instance.sizes)
         if phase_start:
-            self.phase += 1
             self._masses = {}
 
         m, top = self.family.max_dimension_set()
@@ -358,7 +354,7 @@ class DistributionTracker:
 
         patterns = tuple(map(self.family.pattern, top))
         rec = TrackerStep(
-            index=len(self.steps) + 1, phase=self.phase, phase_start=phase_start,
+            index=len(self.steps) + 1, phase=phase + phase_start, phase_start=phase_start,
             m_prev=m_prev, size_prev=size_prev, m_cur=m, size_cur=len(top),
             destroyed_maximal=size_prev - len(kept), p_move=p_move,
             patterns=patterns, masses=dict(zip(patterns, self._masses.values())),
@@ -373,15 +369,15 @@ class DistributionTracker:
 # ---------------------------------------------------------------------------
 # Transcript files: one tab-separated row per request
 #   step  phase  request  pre  post  cost  |F|  m  |M|
-# Steps count 1, 2, ...; phases start at 1 and go up by one; costs are
-# non-negative.
+# A row's step is its position, counting 1, 2, ...; phases start at 1 and
+# go up by one; costs are non-negative.
 # ---------------------------------------------------------------------------
 
 def transcript_lines(steps: Iterable[Step]) -> Iterator[str]:
     text = Memo(lambda point: ",".join(map(str, point)))
-    for s in steps:
+    for index, s in enumerate(steps, 1):
         cost = s.cost if type(s.cost) is int else format_fraction(s.cost)
-        yield (f"{s.index}\t{s.phase}\t{text[s.request]}\t{text[s.pre]}\t{text[s.post]}\t"
+        yield (f"{index}\t{s.phase}\t{text[s.request]}\t{text[s.pre]}\t{text[s.post]}\t"
                f"{cost}\t{s.family_size}\t{s.max_dim}\t{s.max_count}")
 
 
@@ -410,8 +406,9 @@ def _bad_state(instance: Instance, what: str, text: str):
 def read_transcript(src: Union[str, Path, IO[str]]) -> tuple[Instance, list[Step]]:
     """Parse a transcript; requests are checked against the header's
     instance, pre- and post-states only for width and sign, and rows for the
-    order above.  Each distinct request or state text is parsed once.  The
-    file has no shrink column, so every `Step.shrunk` reads False."""
+    order above; the step column is checked and dropped, since a row's step
+    is its position.  Each distinct request or state text is parsed once.
+    The file has no shrink column, so every `Step.shrunk` reads False."""
     with ContentLines(src) as lines:
         instance = lines.header(TRANSCRIPT_HEADER)
         steps: list[Step] = []
@@ -439,7 +436,7 @@ def read_transcript(src: Union[str, Path, IO[str]]) -> tuple[Instance, list[Step
                     f"phase {phase} follows phase {prev_phase}; phases count up from 1")
             if cost < 0:
                 raise InvalidInputError(f"negative cost {format_fraction(cost)}")
-            steps.append(Step(index, phase, request, pre, post, cost, fam_size, max_dim, max_count,
+            steps.append(Step(phase, request, pre, post, cost, fam_size, max_dim, max_count,
                               pre != post, False, phase != prev_phase))
             prev_phase = phase
     return instance, steps

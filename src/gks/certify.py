@@ -23,7 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import neg, sub
+from itertools import groupby
+from operator import attrgetter, neg, sub
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence, Union
 
@@ -201,14 +202,10 @@ def verify_certificate(cert: PhaseCertificate) -> CertificateVerdicts:
 
 
 def phases_of(steps: Sequence) -> list[tuple[int, list, bool]]:
-    """Group transcript steps by phase id; the last phase is incomplete."""
-    groups: dict[int, list] = {}
-    for s in steps:
-        groups.setdefault(s.phase, []).append(s)
-    if not groups:
-        return []
-    last = max(groups)
-    return [(p, groups[p], p != last) for p in sorted(groups)]
+    """Group steps into phases, each a run of consecutive rows with one phase
+    id (rows come in phase order); the last phase is incomplete."""
+    groups = [(p, list(rows)) for p, rows in groupby(steps, attrgetter("phase"))]
+    return [(p, rows, i < len(groups) - 1) for i, (p, rows) in enumerate(groups)]
 
 
 def certify_transcript(instance: Instance, steps: Sequence,

@@ -87,6 +87,13 @@ def _parse_flag(flag: str, parse, text: str):
         _fail(EXIT_INPUT, f"{flag}: {e}")
 
 
+def _output_path(ctx, param, value):
+    """An empty output path is a bad value, refused before anything is served."""
+    if value == "":
+        _fail(EXIT_INPUT, f"{param.opts[0]}: empty path")
+    return value
+
+
 def _parse_start(text: str | None, instance: Instance):
     """The `--start` configuration; all zeros when the flag is absent."""
     if text is None:
@@ -250,13 +257,13 @@ def main():
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help="Parallel workers for --seeds sweeps")
 @click.option("--start", type=str, default=None, help="Start configuration, comma list")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
+@click.option("--out", type=click.Path(dir_okay=False), callback=_output_path)
 @click.option("--opt/--no-opt", "with_opt", default=False,
               help="Also compute the exact optimum and the ratio")
 @click.option("--certify", "with_certify", is_flag=True, default=False,
               help="Verify per-phase certificates (uniform algorithms)")
-@click.option("--dump-seq", type=click.Path(dir_okay=False), default=None)
-@click.option("--transcript-out", type=click.Path(dir_okay=False), default=None)
+@click.option("--dump-seq", type=click.Path(dir_okay=False), callback=_output_path)
+@click.option("--transcript-out", type=click.Path(dir_okay=False), callback=_output_path)
 def cmd_run(alg, seq_file, gen, steps, k, sizes, weights, seed, seeds, jobs,
             start, out, with_opt, with_certify, dump_seq, transcript_out):
     """Run one algorithm over a sequence and write a JSON report."""
@@ -351,8 +358,8 @@ def cmd_opt(seq_file, start, state_cap, work_cap, trace_wf):
 @click.option("--rounds", type=click.IntRange(min=0), default=20, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--start", type=str, default=None)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--dump-seq", type=click.Path(dir_okay=False), default=None)
+@click.option("--out", type=click.Path(dir_okay=False), callback=_output_path)
+@click.option("--dump-seq", type=click.Path(dir_okay=False), callback=_output_path)
 def cmd_duel(alg, adversary, k, rounds, seed, start, out, dump_seq):
     """Closed-loop duel on two-point metrics; reports the measured ratio."""
     instance = Instance.uniform(k, 2)
@@ -373,7 +380,7 @@ def cmd_duel(alg, adversary, k, rounds, seed, start, out, dump_seq):
 @click.option("--alg", type=click.Choice(list(ALGORITHMS)), default=None)
 @click.option("--seq", "seq_file", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--cert-out", type=click.Path(file_okay=False), default=None,
+@click.option("--cert-out", type=click.Path(file_okay=False), callback=_output_path,
               help="Directory for one certificate file per phase")
 def cmd_certify(transcript_file, alg, seq_file, seed, cert_out):
     """Verify per-phase certificates from a transcript or a fresh run."""

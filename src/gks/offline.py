@@ -63,14 +63,11 @@ def check_caps(instance: Instance, steps: int, state_cap: int = DEFAULT_STATE_CA
         )
 
 
-def _layers(instance: Instance, start: Config, requests: Sequence[Request],
-            state_cap: int, work_cap: int):
+def _layers(instance: Instance, start: Config, requests: Sequence[Request]):
     """Yield (t, values, scale): values[j] / scale is the layer-t cost of
     the j-th configuration in row-major (itertools.product) order.  The one
-    table is updated in place, so read it before advancing."""
-    check_caps(instance, len(requests), state_cap, work_cap)
-    start = instance.check_coords(start, what="start configuration")
-    instance.check_requests(requests)
+    table is updated in place, so read it before advancing.  The start,
+    the caps and the requests are checked by the caller."""
     sizes = instance.sizes
     scale = math.lcm(*(w.denominator for w in instance.weights))
     weights = [w.numerator * (scale // w.denominator) for w in instance.weights]
@@ -134,7 +131,9 @@ def opt_cost(instance: Instance, start: Sequence[int], requests: Sequence[Reques
     start = instance.check_coords(start, what="start configuration")
     if not requests:
         return Fraction(0)
-    for _, values, scale in _layers(instance, start, requests, state_cap, work_cap):
+    check_caps(instance, len(requests), state_cap, work_cap)
+    instance.check_requests(requests)
+    for _, values, scale in _layers(instance, start, requests):
         pass
     return Fraction(min(values), scale)
 
@@ -147,7 +146,7 @@ def work_function_minima(instance: Instance, start: Sequence[int],
 
     Each minimum scans the whole table, so besides the box work the T·N
     cells scanned must fit `work_cap` too; no requests need no table."""
-    instance.check_coords(start, what="start configuration")
+    start = instance.check_coords(start, what="start configuration")
     if not requests:
         return [Fraction(0)]
     check_caps(instance, len(requests), state_cap, work_cap)
@@ -157,5 +156,5 @@ def work_function_minima(instance: Instance, start: Sequence[int],
             f"minimum scan {scan} (= {len(requests)} * {instance.state_count()}) "
             f"exceeds cap {work_cap}"
         )
-    return [Fraction(min(values), scale)
-            for _, values, scale in _layers(instance, start, requests, state_cap, work_cap)]
+    instance.check_requests(requests)
+    return [Fraction(min(values), scale) for _, values, scale in _layers(instance, start, requests)]

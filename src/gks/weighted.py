@@ -186,9 +186,10 @@ class WeightedAlgorithm:
     """Serve requests on a weighted instance with the recursive tour scheme.
 
     Requests the joint configuration already satisfies are filtered: no
-    counter advances and nothing moves.  Costs are in normalized rounded
-    weight units (the first metric's rounded weight is 1).  `_levels` holds
-    levels 2..k; `phase` is the top level's open phase.
+    counter advances and nothing moves, but each gets its transcript row,
+    and one that comes after the top level completed a phase opens the next
+    phase's summary.  Costs are in normalized rounded weight units (the
+    first metric's rounded weight is 1).  `_levels` holds levels 2..k.
     """
 
     randomized = False
@@ -209,7 +210,6 @@ class WeightedAlgorithm:
                                                    self.rounded.multipliers, instance.sizes[1:],
                                                    start[1:])]
         self.current: Config = start
-        self.phase = 1
         self.total_cost = 0   # actual, every level
         self.counted = 0      # also the bottom server's cost, actual and charged
         self.charged = 0      # charged moves of levels 2 and up
@@ -223,49 +223,45 @@ class WeightedAlgorithm:
 
     # -- public surface -----------------------------------------------------
 
+    @property
+    def phase(self) -> int:
+        """The top level's open phase, counted from 1."""
+        summaries = self.phase_summaries
+        return len(summaries) + (not summaries or summaries[-1].complete)
+
     def serve(self, r: Sequence[int]) -> Step:
         r = self.instance.check_coords(r)
         pre = self.current
-        top_phase = self.phase
         summaries = self.phase_summaries
-        if not summaries or summaries[-1].complete:
-            summaries.append(PhaseSummary(top_phase))
+        phase_start = not summaries or summaries[-1].complete
+        if phase_start:
+            summaries.append(PhaseSummary(len(summaries) + 1))
         summary = summaries[-1]
 
         if satisfies(pre, r):
             self.filtered += 1
-            step = Step(self.counted + self.filtered, top_phase, r, pre, pre, 0, 0, 0, 0,
-                        False, False, False)
-            if self.transcript is not None:
-                self.transcript.append(step)
-            return step
-
-        self.counted += 1
-        phase_start = summary.requests == 0
-        summary.requests += 1
-        for level, p in zip(self._levels, r[1:]):
-            level.counts[p] = level.counts.get(p, 0) + 1
-
-        # the bottom server chases its coordinate on every counted request
-        cost = 1
-        self.total_cost += 1
-        if self.counted % self.phase_len_1 == 0:
-            cost += self._cascade(2)
-            post = r[:1] + tuple(level.pos for level in self._levels)
+            post, cost = pre, 0
         else:
-            post = r[:1] + pre[1:]
-        self.current = post
+            self.counted += 1
+            summary.requests += 1
+            for level, p in zip(self._levels, r[1:]):
+                level.counts[p] = level.counts.get(p, 0) + 1
+            # the bottom server chases its coordinate on every counted request
+            cost = 1
+            self.total_cost += 1
+            if self.counted % self.phase_len_1 == 0:
+                cost += self._cascade(2)
+                post = r[:1] + tuple(level.pos for level in self._levels)
+            else:
+                post = r[:1] + pre[1:]
+            self.current = post
 
-        moved = post != pre
-        step = Step(self.counted + self.filtered, top_phase, r, pre, post, cost, 0, 0, 0,
-                    moved, False, phase_start)
+        moved = cost > 0  # a counted request moves the bottom server
+        step = Step(summary.phase, r, pre, post, cost, 0, 0, 0, moved, False, phase_start)
         summary.moves += moved
         summary.cost += cost
         if self.transcript is not None:
             self.transcript.append(step)
-        if self.phase != top_phase:
-            # the top level completed its phase on this request
-            summary.complete = True
         return step
 
     def run(self, requests) -> None:
@@ -281,7 +277,7 @@ class WeightedAlgorithm:
     def _cascade(self, i: int) -> int:
         """Level i-1 just completed a phase; returns extra actual cost paid."""
         if i > self.instance.k:
-            self.phase += 1
+            self.phase_summaries[-1].complete = True  # the top level's phase
             return 0
         level = self._levels[i - 2]
         level.lower_phases += 1

@@ -20,7 +20,7 @@ from gks.core import (
     parse_ints,
     satisfies,
 )
-from gks.offline import _layers
+from gks.offline import _layers, check_caps
 from gks.spaces import FeasibleFamily
 
 
@@ -113,8 +113,10 @@ def work_function_layer(instance: Instance, start, requests, t,
     """The program's layer-t table as a dict from configuration to exact cost."""
     if not 0 <= t <= len(requests):
         raise ValueError(f"layer {t} outside [0, {len(requests)}]")
-    for layer_t, values, scale in _layers(instance, tuple(start), requests[:t],
-                                          state_cap, work_cap):
+    start = instance.check_coords(start, what="start configuration")
+    check_caps(instance, t, state_cap, work_cap)
+    instance.check_requests(requests[:t])
+    for layer_t, values, scale in _layers(instance, start, requests[:t]):
         if layer_t == t:
             return {q: Fraction(v, scale) for q, v in zip(all_configs(instance.sizes), values)}
 
@@ -352,9 +354,9 @@ def _fmt_tuple(t):
 
 
 def transcript_lines(steps):
-    for s in steps:
+    for index, s in enumerate(steps, 1):
         yield "\t".join((
-            str(s.index), str(s.phase), _fmt_tuple(s.request), _fmt_tuple(s.pre),
+            str(index), str(s.phase), _fmt_tuple(s.request), _fmt_tuple(s.pre),
             _fmt_tuple(s.post), format_fraction(s.cost), str(s.family_size),
             str(s.max_dim), str(s.max_count),
         ))
@@ -368,17 +370,19 @@ def _state(instance, text, what):
 
 
 def _row_fields(instance, line):
-    """A transcript row's nine fields, parsed left to right."""
+    """A transcript row's nine fields, parsed left to right; the step is
+    dropped once read, since a `Step` is numbered by its position."""
     parts = line.split("\t")
     if len(parts) != 9:
         raise InvalidInputError(f"expected 9 tab-separated fields, got {len(parts)}")
     request = _point(instance, parts[2])
     pre = _state(instance, parts[3], "pre-state")
     post = _state(instance, parts[4], "post-state")
-    index, phase = parse_int(parts[0]), parse_int(parts[1])
+    parse_int(parts[0])  # the step column; a row's step is its position
+    phase = parse_int(parts[1])
     cost = parse_fraction(parts[5])
     fam_size, max_dim, max_count = map(parse_int, parts[6:])
-    return index, phase, request, pre, post, cost, fam_size, max_dim, max_count
+    return phase, request, pre, post, cost, fam_size, max_dim, max_count
 
 
 def read_transcript(src):
@@ -387,10 +391,10 @@ def read_transcript(src):
     steps = []
     prev_phase = 0
     for lineno, line in rows:
-        index, phase, request, pre, post, cost, fam_size, max_dim, max_count = \
+        phase, request, pre, post, cost, fam_size, max_dim, max_count = \
             _at(lineno, _row_fields, instance, line)
         steps.append(Step(
-            index=index, phase=phase, request=request, pre=pre, post=post,
+            phase=phase, request=request, pre=pre, post=post,
             cost=int(cost) if cost.denominator == 1 else cost, family_size=fam_size,
             max_dim=max_dim, max_count=max_count,
             moved=pre != post, shrunk=False, phase_start=phase != prev_phase,

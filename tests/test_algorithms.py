@@ -284,6 +284,23 @@ def test_replay_matches_full_algorithm():
         assert [(s, q) for s, q, _ in got] == expected
 
 
+def test_phases_are_numbered_by_their_summaries():
+    inst = Instance.uniform(3, 3)
+    seq = random_sequence(inst, 300, seed=4)
+    tracker = DistributionTracker(inst)
+    tracker.run(seq)
+    for name, cls in ALGORITHMS.items():
+        alg = cls(inst, *((1,) if cls.randomized else ()))
+        alg.run(seq)
+        summaries = alg.phase_summaries
+        assert len(summaries) > 2, name
+        assert [s.phase for s in summaries] == list(range(1, len(summaries) + 1)), name
+        # rows come in phase order, each under its own summary
+        assert [s.phase for s in alg.transcript] == \
+            [s.phase for s in summaries for _ in range(s.requests)], name
+        assert [s.phase for s in tracker.steps] == [s.phase for s in alg.transcript], name
+
+
 def test_transcript_roundtrip(tmp_path):
     inst = Instance.uniform(2, 3)
     alg = GenericAlgorithm(inst)
@@ -295,8 +312,8 @@ def test_transcript_roundtrip(tmp_path):
     assert inst2 == inst
     assert len(steps2) == len(alg.transcript)
     for a, b in zip(alg.transcript, steps2):
-        assert (a.index, a.phase, a.request, a.pre, a.post, a.cost) == \
-            (b.index, b.phase, b.request, b.pre, b.post, b.cost)
+        assert (a.phase, a.request, a.pre, a.post, a.cost) == \
+            (b.phase, b.request, b.pre, b.post, b.cost)
         assert (a.family_size, a.max_dim, a.max_count) == \
             (b.family_size, b.max_dim, b.max_count)
         assert a.phase_start == b.phase_start

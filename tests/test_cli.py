@@ -419,6 +419,28 @@ def test_empty_flag_values_are_input_errors(runner, seq_file, args, flag):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("args, flag", [
+    (GEN + ["--out", ""], "--out"),
+    (GEN + ["--transcript-out", ""], "--transcript-out"),
+    (GEN + ["--dump-seq", ""], "--dump-seq"),
+    (["duel", "--k", "2", "--out", ""], "--out"),
+    (["duel", "--k", "2", "--dump-seq", ""], "--dump-seq"),
+    (["certify", "--alg", "det", "--cert-out", ""], "--cert-out"),
+], ids=["run-out", "run-transcript-out", "run-dump-seq", "duel-out", "duel-dump-seq",
+        "certify-cert-out"])
+def test_empty_output_paths_are_input_errors(runner, seq_file, monkeypatch, args, flag):
+    # an empty path is a bad value, refused before anything is served
+    served = []
+    monkeypatch.setattr(cli, "_execute_run", lambda *a, **kw: served.append(a))
+    if args[0] == "certify":
+        args = args + ["--seq", str(seq_file)]
+    result = runner.invoke(main, args)
+    assert_input_error(result, f"error: {flag}: empty path")
+    assert len(result.stderr.splitlines()) == 1, result.stderr
+    assert result.stdout == ""
+    assert not served
+
+
 def test_certify_cert_out_holds_one_file_per_phase(runner, seq_file, tmp_path):
     certs = tmp_path / "certs"
     result = runner.invoke(main, ["certify", "--alg", "det", "--seq", str(seq_file),

@@ -23,6 +23,21 @@ from helpers import (
 )
 
 
+def test_checks_run_in_order_start_caps_scan_requests():
+    # a bad start on an instance over the state cap, with requests to serve
+    over = Instance.uniform(9, 5)
+    for solve in (opt_cost, work_function_minima):
+        with pytest.raises(InvalidInputError, match="start configuration"):
+            solve(over, (5,) * 9, [(0,) * 9])
+        with pytest.raises(ResourceLimitError, match="state space"):
+            solve(over, (0,) * 9, [(5,) * 9])
+    # 10 requests: box work 20 fits, the minimum scan of 40 does not
+    with pytest.raises(ResourceLimitError, match="minimum scan"):
+        work_function_minima(Instance.uniform(2, 2), (0, 0), [(5, 5)] * 10, work_cap=30)
+    with pytest.raises(InvalidInputError, match="request"):
+        opt_cost(Instance.uniform(2, 2), (0, 0), [(5, 5)] * 10, work_cap=30)
+
+
 def test_single_request_example():
     inst = Instance.uniform(2, 2)
     assert opt_cost(inst, (0, 0), [(1, 1)]) == 1

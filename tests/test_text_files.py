@@ -168,6 +168,29 @@ def test_long_weighted_runs_meet_the_row_rules(sizes, weights):
     assert any(x >= n for s in got for x, n in zip(s.post, sizes))  # virtual points
 
 
+@pytest.mark.parametrize("alg", ["det", "alt", "rand", "weighted"])
+def test_served_rows_read_back_unchanged(alg):
+    """On random traffic a weighted run filters requests the configuration
+    already meets, and a filtered row can open a phase; every row read back
+    is the served row but for `shrunk`, which the file does not carry."""
+    filtered_openers = 0
+    for seed in range(10):
+        if alg == "weighted":
+            inst = Instance.make((3, 3), (1, 7))
+            algorithm = WeightedAlgorithm(inst)
+        else:
+            inst = Instance.uniform(3, 3)
+            algorithm = (RandomizedAlgorithm(inst, seed=seed) if alg == "rand"
+                         else ALGORITHMS[alg](inst))
+        algorithm.run(random_sequence(inst, 300, seed))
+        served = algorithm.transcript
+        _, read = read_transcript(io.StringIO(transcript_text(inst, served)))
+        assert read == [dataclasses.replace(s, shrunk=False) for s in served]
+        filtered_openers += sum(s.phase_start and s.cost == 0 for s in served)
+    if alg == "weighted":
+        assert filtered_openers
+
+
 def test_write_sequence_takes_points_of_any_sequence_type():
     out = io.StringIO()
     write_sequence(out, Instance.uniform(2, 2), [[0, 1], (1, 0), range(2)])
