@@ -19,6 +19,7 @@ from .core import (
     InvalidInputError,
     Request,
     ResourceLimitError,
+    below,
     satisfies,
 )
 
@@ -34,29 +35,35 @@ def antipodal_next(instance: Instance, current: Sequence[int]) -> Request:
 
 def evasive_next(instance: Instance, current: Sequence[int],
                  rng: random.Random) -> Request:
-    """A uniformly random request that `current` does not satisfy.
+    """A uniformly random request that `current`, k ints >= 0, does not satisfy.
 
     Coordinates parked on virtual points (indices beyond the metric, as the
     weighted tour can produce) never match a real request, so those draw
-    from the full range.
+    from the full range.  Each draw is `below`'s, inlined.  A coordinate is
+    checked when the loop reaches it, which costs less than a separate pass,
+    so a refused configuration may have drawn for the ones before it.
     """
     if len(current) != instance.k:
         raise InvalidInputError(
             f"configuration has {len(current)} coordinates, expected {instance.k}")
+    getrandbits = rng.getrandbits
     out = []
     for x, n in zip(current, instance.sizes):
-        if 0 <= x < n:
-            v = rng.randrange(n - 1)
-            if v >= x:
-                v += 1
-        else:
-            v = rng.randrange(n)
-        out.append(v)
+        if type(x) is not int or x < 0:
+            raise InvalidInputError(f"configuration {tuple(current)!r} must hold ints >= 0")
+        if x < n:  # draw below n - 1 and step over x; a virtual x is never reached
+            n -= 1
+        b = n.bit_length()
+        v = getrandbits(b)
+        while v >= n:
+            v = getrandbits(b)
+        out.append(v + 1 if v >= x else v)
     return tuple(out)
 
 
 def random_request(instance: Instance, rng: random.Random) -> Request:
-    return tuple(rng.randrange(n) for n in instance.sizes)
+    getrandbits = rng.getrandbits
+    return tuple([below(getrandbits, n) for n in instance.sizes])
 
 
 def random_sequence(instance: Instance, steps: int, seed: int) -> list[Request]:

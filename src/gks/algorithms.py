@@ -26,6 +26,7 @@ from .core import (
     InvariantViolationError,
     Memo,
     Request,
+    below,
     check_point_bits,
     format_fraction,
     hamming,
@@ -296,7 +297,7 @@ class RandomizedAlgorithm(_SpaceFollower):
 
     def _choose(self):
         _, top = self.family.max_dimension_set()
-        return top[self.rng.randrange(len(top))]
+        return top[below(self.rng.getrandbits, len(top))]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import contains, eq, ne
+from operator import attrgetter, contains, eq, ne
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, NoReturn, Sequence, TypeVar, Union
 
@@ -61,6 +61,20 @@ class CertificateImpossibleError(GKSError):
 WeightLike = Union[int, str, Fraction]
 T = TypeVar("T")
 _INT = frozenset({int})  # the one coordinate type; a bool or an int subclass is not it
+_FRACTION = frozenset({Fraction})
+
+
+def below(getrandbits: Callable[[int], int], n: int) -> int:
+    """A uniform int in [0, n), n >= 1, drawn as CPython's `Random._randbelow`
+    draws it: n.bit_length() bits, redrawn while n or more.  So a seed gives
+    the same values and generator state; n = 1 still draws until a 0 comes."""
+    if n < 1:
+        raise InvalidInputError(f"empty range [0, {n})")
+    b = n.bit_length()
+    v = getrandbits(b)
+    while v >= n:
+        v = getrandbits(b)
+    return v
 
 
 @dataclass(frozen=True)
@@ -79,15 +93,22 @@ class Instance:
                 f"expected {self.k} sizes and weights, got "
                 f"{len(self.sizes)} and {len(self.weights)}"
             )
-        for i, n in enumerate(self.sizes):
-            if not isinstance(n, int) or n < 2:
-                raise InvalidInputError(f"metric {i}: point count must be an int >= 2, got {n!r}")
-        for i, w in enumerate(self.weights):
-            if not isinstance(w, Fraction) or w <= 0:
-                shown = format_fraction(w) if isinstance(w, Fraction) else repr(w)
-                raise InvalidInputError(f"metric {i}: weight must be a positive Fraction, got {shown}")
+        # C-level passes decide; the loops name the first bad metric.  A
+        # Fraction's denominator is positive, so its sign is its numerator's
+        if not (_INT.issuperset(map(type, self.sizes)) and min(self.sizes) >= 2):
+            for i, n in enumerate(self.sizes):
+                if not isinstance(n, int) or n < 2:
+                    raise InvalidInputError(
+                        f"metric {i}: point count must be an int >= 2, got {n!r}")
+        if not (_FRACTION.issuperset(map(type, self.weights))
+                and min(map(attrgetter("numerator"), self.weights)) > 0):
+            for i, w in enumerate(self.weights):
+                if not isinstance(w, Fraction) or w <= 0:
+                    shown = format_fraction(w) if isinstance(w, Fraction) else repr(w)
+                    raise InvalidInputError(
+                        f"metric {i}: weight must be a positive Fraction, got {shown}")
         # not a field: equality, hash and repr stay those of (k, sizes, weights)
-        object.__setattr__(self, "_ranges", tuple(range(n) for n in self.sizes))
+        object.__setattr__(self, "_ranges", tuple(map(range, self.sizes)))
 
     @classmethod
     def make(cls, sizes: Sequence[int], weights: Sequence[WeightLike] | None = None) -> "Instance":

@@ -1,6 +1,7 @@
 """Independent oracles for the test suite, kept deliberately naive, two
-builders of the program's own feasible family, and the text-file readers and
-writers that the program's per-call caches replaced."""
+builders of the program's own feasible family, the text-file readers and
+writers that the program's per-call caches replaced, and the `randrange`
+traffic generators that its direct bit draws replaced."""
 
 import io
 import itertools
@@ -236,6 +237,26 @@ def replay_space_choices(steps, seed, start):
             cost = 0
         out.append((space, pos, cost))
     return out
+
+
+def evasive_next(instance: Instance, current, rng):
+    """A never-satisfied request drawn with `randrange`, as the program drew
+    it before its draws took bits from `getrandbits` directly."""
+    out = []
+    for x, n in zip(current, instance.sizes):
+        if 0 <= x < n:
+            v = rng.randrange(n - 1)
+            if v >= x:
+                v += 1
+        else:
+            v = rng.randrange(n)
+        out.append(v)
+    return tuple(out)
+
+
+def random_request(instance: Instance, rng):
+    """A uniform request drawn with `randrange`, one coordinate per metric."""
+    return tuple(rng.randrange(n) for n in instance.sizes)
 
 
 class NaiveFamily:

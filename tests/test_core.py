@@ -4,6 +4,7 @@ import enum
 import io
 import itertools
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from gks.core import (
     Instance,
     InvalidInputError,
     SequenceFormatError,
+    below,
     hamming,
     read_sequence,
     satisfies,
@@ -194,6 +196,47 @@ def test_instance_validation():
         inst.check_coords((0, 3))
     with pytest.raises(InvalidInputError):
         inst.check_coords((0,))
+
+
+def test_instance_names_its_first_bad_metric():
+    # the C-level passes only decide; the first bad metric is named as before
+    for sizes, text in (([3, 1, 0], "metric 1: point count must be an int >= 2, got 1$"),
+                        ([3, 3, True], "metric 2: point count must be an int >= 2, got True$"),
+                        ([2.5, 1], "metric 0: point count must be an int >= 2, got 2.5$")):
+        with pytest.raises(InvalidInputError, match=text):
+            Instance.make(sizes)
+    with pytest.raises(InvalidInputError, match="metric 1: weight must be a positive Fraction, got -3$"):
+        Instance.make([2, 2, 2], [1, -3, 0])
+    with pytest.raises(InvalidInputError, match="metric 2: weight must be a positive Fraction, got 1.5$"):
+        Instance(3, (2, 2, 2), (Fraction(1), Fraction(2), 1.5))
+
+
+def test_instance_takes_int_and_fraction_subclasses():
+    # the exact-type passes fall back to the isinstance loop, which takes them
+    class Half(Fraction):
+        pass
+
+    inst = Instance(2, (Count(2), 3), (Half(1, 2), Fraction(3)))
+    assert inst.sizes == (2, 3) and inst.weights == (Fraction(1, 2), 3)
+    with pytest.raises(InvalidInputError, match="metric 0: weight"):
+        Instance(1, (2,), (Half(-1, 2),))
+
+
+def test_below_draws_as_randrange():
+    # same values and the same generator state after, n = 1 included
+    for n in set(range(1, 71)) | {2 ** j + d for j in range(1, 70) for d in (-1, 0, 1)}:
+        for seed in range(200):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert [below(ours.getrandbits, n) for _ in range(3)] == [
+                theirs.randrange(n) for _ in range(3)]
+            assert ours.random() == theirs.random()
+
+
+def test_below_refuses_an_empty_range():
+    rng = random.Random(0)
+    for n in (0, -1):
+        with pytest.raises(InvalidInputError, match="empty range"):
+            below(rng.getrandbits, n)
 
 
 def test_bool_coordinates_are_refused():
