@@ -100,10 +100,11 @@ def next_family(family: FeasibleFamily | None, r: Request,
     return family, True, True
 
 
-def nearest_space(family: FeasibleFamily, current: Config) -> int:
-    """Mask of the pattern whose nearest member is cheapest; ties go to the
-    smallest mask, which is the canonical pattern order."""
-    return min(family.cheapest(current))
+def nearest_space(family: FeasibleFamily, current: Config, mask: int | None = None) -> int:
+    """Mask of the pattern whose nearest member is cheapest from `current`
+    (whose mask `mask` is, if given); ties go to the smallest mask, which is
+    the canonical pattern order."""
+    return min(family.cheapest(current, mask))
 
 
 class OnlineAlgorithm:
@@ -113,10 +114,13 @@ class OnlineAlgorithm:
     family (never empty once a request is served), one `PhaseSummary` per
     phase opened so far, numbered from 1 by position, and optionally the
     full transcript.  After `serve(r)` the current configuration satisfies
-    r and the cost grew by the move's Hamming distance.
+    r and the cost grew by the move's Hamming distance.  A request served
+    without cost leaves `current` the same object, so `_position_mask`
+    builds the position's mask once per position it is asked at.
     """
 
     randomized = False
+    _mask_at: Config | None = None  # the position `_mask` belongs to
 
     def __init__(self, instance: Instance, start: Sequence[int] | None = None,
                  keep_transcript: bool = True):
@@ -166,8 +170,9 @@ class OnlineAlgorithm:
         if not satisfies(post, r):
             raise InvariantViolationError(f"post-state {post} does not satisfy request {r}")
         cost = 0 if post is pre else hamming(pre, post)  # staying put is free
-        self.current = post
-        self.total_cost += cost
+        if cost:
+            self.current = post
+            self.total_cost += cost
 
         max_dim, max_count = family.max_dimension_stats()
         moved = cost > 0
@@ -186,6 +191,15 @@ class OnlineAlgorithm:
         for r in requests:
             self.serve(r)
         self.finalize()
+
+    def _position_mask(self) -> int:
+        """The mask of `current`, rebuilt only when the position moved since
+        it was last asked for."""
+        cur = self.current
+        if cur is not self._mask_at:
+            self._mask = self.family.position_mask(cur)
+            self._mask_at = cur
+        return self._mask
 
     def _serve(self, r: Request, phase_start: bool, shrunk: bool) -> Config:
         raise NotImplementedError
@@ -236,7 +250,7 @@ class GenericAlgorithm(OnlineAlgorithm):
         for i in reversed(range(k)):
             if r[i] > cur[i] and not own[i] & ~(twice | cols[i][r[i]]):
                 return cur[:i] + (r[i],) + cur[i + 1:]
-        return self.family.nearest_member(cur)
+        return self.family.nearest_member(cur, self._position_mask())
 
 
 class _SpaceFollower(OnlineAlgorithm):
@@ -277,7 +291,7 @@ class AlternativeAlgorithm(_SpaceFollower):
     """
 
     def _choose(self):
-        return nearest_space(self.family, self.current)
+        return nearest_space(self.family, self.current, self._position_mask())
 
 
 class RandomizedAlgorithm(_SpaceFollower):

@@ -65,11 +65,23 @@ class FeasibleFamily:
     another coordinate's bit, so the family refuses it: a point's bits come
     from a per-(k, width) table (see `point_bits`).
 
+    Between requests the family keeps its top dimension `_top` and the
+    maximal set it last listed, `_maximal` (see `max_dimension_set`).  Both
+    rest on one fact: the top dimension never rises within a phase.  A
+    pattern is created only as a child of a doomed parent, with one
+    dimension less, and the parent was alive, so no child reaches above
+    the top dimension it was created under.  Hence while the top dimension
+    stays d, no pattern of dimension d is created, and the alive patterns
+    of dimension d at any later request are exactly those of an earlier
+    list of them that are still in `spaces` (a destroyed pattern is never
+    re-created, and a mask fixes its dimension).  `update` lowers `_top`
+    once the histogram empties there, at most k times a phase.
+
     Single writer: `update` mutates in place.
     """
 
     __slots__ = ("k", "width", "spaces", "created", "duplicate_creations", "_dim_hist",
-                 "_created_hist", "_bits")
+                 "_created_hist", "_bits", "_top", "_maximal")
 
     def __init__(self, k: int, width: int):
         self.k = k
@@ -80,6 +92,8 @@ class FeasibleFamily:
         self.duplicate_creations: int = 0
         self._dim_hist: list[int] = [0] * (k + 1)  # alive count per dimension
         self._created_hist: list[int] = [0] * (k + 1)  # `created` count per dimension
+        self._top = 0                      # largest dimension alive; 0 when empty
+        self._maximal: tuple[int, ...] = ()  # masks last listed of dimension `_top`
 
     @classmethod
     def initial(cls, sizes: Sequence[int]) -> "FeasibleFamily":
@@ -90,6 +104,7 @@ class FeasibleFamily:
         fam = cls(k, max(sizes))
         fam.spaces[0] = (1 << k) - 1
         fam._dim_hist[k] = 1
+        fam._top = k
         return fam
 
     def point_bits(self, point: Sequence[int]) -> list[int]:
@@ -104,6 +119,12 @@ class FeasibleFamily:
             pass
         raise InvalidInputError(
             f"point {tuple(point)} has an entry that is not an int in [0, {self.width})")
+
+    def position_mask(self, config: Config) -> int:
+        """The mask of a configuration already checked against the instance,
+        such as an algorithm's position: its bits straight from the table,
+        without `point_bits`' refusals."""
+        return sum(map(getitem, self._bits, config))
 
     def pattern(self, mask: int, slots: Sequence | None = None) -> tuple:
         """`slots` (all FREE by default) with every entry `mask` fixes set."""
@@ -165,30 +186,30 @@ class FeasibleFamily:
                         f"destroyed pattern {pattern_str(self.pattern(child))} "
                         "re-created in its phase"
                     )
+        top = self._top
+        while top and not hist[top]:
+            top -= 1
+        self._top = top
         return True
-
-    def _top_dimension(self) -> int:
-        if not self.spaces:
-            raise EmptyFamilyError("family is empty; the phase is over")
-        hist = self._dim_hist
-        for d in range(self.k, -1, -1):
-            if hist[d]:
-                return d
-        raise AssertionError("histogram out of sync")
 
     def max_dimension_stats(self) -> tuple[int, int]:
         """(largest dimension, how many patterns have it)."""
-        d = self._top_dimension()
+        if not self.spaces:
+            raise EmptyFamilyError("family is empty; the phase is over")
+        d = self._top
         return d, self._dim_hist[d]
 
-    def cheapest(self, current: Config) -> list[int]:
+    def cheapest(self, current: Config, mask: int | None = None) -> list[int]:
         """Masks of the patterns whose nearest member is cheapest from `current`.
 
         Entering a pattern costs its number of fixed entries that differ
         from the current position (free entries are copied), which is the
-        popcount of its mask outside `current`'s.
+        popcount of its mask outside `current`'s.  A caller that keeps
+        `current`'s mask passes it as `mask`; otherwise it is built here.
         """
-        return self._cheapest(~sum(self.point_bits(current)))
+        if mask is None:
+            mask = sum(self.point_bits(current))
+        return self._cheapest(~mask)
 
     def _cheapest(self, away: int) -> list[int]:
         """`cheapest` with `current`'s mask given as its complement."""
@@ -205,23 +226,44 @@ class FeasibleFamily:
                 out.append(m)
         return out
 
-    def nearest_member(self, current: Config) -> Config:
-        """Cheapest feasible configuration seen from `current`.
+    def nearest_member(self, current: Config, mask: int | None = None) -> Config:
+        """Cheapest feasible configuration seen from `current`, whose mask
+        `mask` is, when the caller keeps it (see `cheapest`).
 
         Ties across patterns go to the lexicographically smallest
         configuration.
         """
-        away = ~sum(self.point_bits(current))
+        if mask is None:
+            mask = sum(self.point_bits(current))
+        away = ~mask
         moves = {m & away for m in self._cheapest(away)}
         return min(self.pattern(move, current) for move in moves)
 
-    def max_dimension_set(self) -> tuple[int, list[int]]:
+    def max_dimension_set(self) -> tuple[int, tuple[int, ...]]:
         """Largest dimension present and the masks of that dimension, in
         increasing order, which is the canonical pattern order; random draws
-        indexed into the list are reproducible."""
-        m = self._top_dimension()
-        fixed = self.k - m
-        return m, sorted(mask for mask in self.spaces if mask.bit_count() == fixed)
+        indexed into them are reproducible.
+
+        The family keeps the tuple it returns.  While the top dimension is
+        the one it was listed at, the next call keeps the masks still alive,
+        in the same order (see the class docstring); only after the top
+        dimension drops does a call scan and sort the family.  A tuple, so no
+        caller can change a later answer."""
+        spaces = self.spaces
+        if not spaces:
+            raise EmptyFamilyError("family is empty; the phase is over")
+        top, kept = self._top, self._maximal
+        fixed = self.k - top
+        if kept and kept[0].bit_count() == fixed:
+            kept = tuple(filter(spaces.__contains__, kept))
+        else:
+            kept = tuple(sorted(mask for mask in spaces if mask.bit_count() == fixed))
+        if len(kept) != self._dim_hist[top]:
+            raise InvariantViolationError(
+                f"{len(kept)} maximal patterns of dimension {top}, "
+                f"the histogram counts {self._dim_hist[top]}")
+        self._maximal = kept
+        return top, kept
 
     def created_by_dimension(self) -> dict[int, int]:
         """Distinct patterns created in the phase per dimension, highest first."""

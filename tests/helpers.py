@@ -1,5 +1,6 @@
 """Independent oracles for the test suite, kept deliberately naive, two
-builders of the program's own feasible family, the text-file readers and
+builders of the program's own feasible family, the scans that its kept
+top dimension and maximal set replaced, the text-file readers and
 writers that the program's per-call caches replaced, and the `randrange`
 traffic generators that its direct bit draws replaced."""
 
@@ -11,6 +12,7 @@ from fractions import Fraction
 from gks.algorithms import TRANSCRIPT_HEADER, Step, next_family
 from gks.core import (
     SEQ_HEADER,
+    EmptyFamilyError,
     Instance,
     InvalidInputError,
     SequenceFormatError,
@@ -206,12 +208,38 @@ def loop_mask(entries, width):
 
 
 def plant(pattern, width):
-    """A family holding `pattern` alone."""
+    """A family holding `pattern` alone, with the per-dimension count and
+    the top dimension that the family keeps for it."""
     fam = FeasibleFamily(len(pattern), width)
     free = sum(1 << i for i, v in enumerate(pattern) if v is None)
     fam.spaces[loop_mask(pattern, width)] = free
     fam._dim_hist[free.bit_count()] = 1
+    fam._top = free.bit_count()
     return fam
+
+
+def walked_top_dimension(fam):
+    """The family's largest dimension by a walk down its per-dimension
+    counts, as `max_dimension_stats` found it before the family kept it."""
+    if not fam.spaces:
+        raise EmptyFamilyError("family is empty; the phase is over")
+    for d in range(fam.k, -1, -1):
+        if fam._dim_hist[d]:
+            return d
+    raise AssertionError("histogram out of sync")
+
+
+def walked_max_dimension_stats(fam):
+    d = walked_top_dimension(fam)
+    return d, fam._dim_hist[d]
+
+
+def scanned_max_dimension_set(fam):
+    """The maximal set by a popcount scan and a sort of the whole family,
+    as `max_dimension_set` listed it before the family kept it."""
+    m = walked_top_dimension(fam)
+    fixed = fam.k - m
+    return m, sorted(mask for mask in fam.spaces if mask.bit_count() == fixed)
 
 
 def replay_space_choices(steps, seed, start):

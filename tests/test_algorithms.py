@@ -22,6 +22,7 @@ from gks.algorithms import (
     write_transcript,
 )
 from gks.adversaries import evasive_next, random_sequence, run_evasive
+from gks.spaces import FeasibleFamily
 from gks.weighted import WeightedAlgorithm
 
 from helpers import (
@@ -29,6 +30,7 @@ from helpers import (
     contains,
     exhaustive_feasible,
     family_union,
+    loop_mask,
     opened,
     replay_space_choices,
 )
@@ -380,6 +382,32 @@ def test_det_move_differential_covers_every_path():
         paths += det_moves_against_naive(sizes, 60, trial, trial % 2 == 1)
     for path in ("lower", "raise", "lower tie", "raise tie", "fallback"):
         assert paths[path] > 0, path
+
+
+@pytest.mark.parametrize("alg_id, query", [("alt", "cheapest"), ("det", "nearest_member")])
+def test_kept_position_mask_matches_the_loop_mask(alg_id, query, monkeypatch):
+    # every mask `alt`'s re-selection and `det`'s fallback hand the family
+    # is the loop mask of the position they pass with it
+    original = getattr(FeasibleFamily, query)
+    calls = []
+
+    def checked(fam, current, mask=None):
+        assert mask == loop_mask(current, fam.width)
+        calls.append(current)
+        return original(fam, current, mask)
+
+    monkeypatch.setattr(FeasibleFamily, query, checked)
+    rng = random.Random(41)
+    for trial in range(30):
+        sizes = [rng.randrange(2, 5) for _ in range(rng.randrange(1, 7))]
+        inst = Instance.make(sizes)
+        start = tuple(rng.randrange(n) for n in sizes)
+        alg = make(alg_id, inst, start=start, keep_transcript=False)
+        if trial % 2:
+            run_evasive(alg, 80, seed=trial)
+        else:
+            alg.run(random_sequence(inst, 80, seed=trial))
+    assert len(calls) > 100 and len(set(calls)) > 50
 
 
 @pytest.mark.parametrize("start, r, post", [

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gks import spaces
-from gks.adversaries import random_sequence
-from gks.algorithms import GenericAlgorithm, nearest_space
+from gks.adversaries import evasive_next, random_sequence
+from gks.algorithms import GenericAlgorithm, nearest_space, next_family
 from gks.core import (
     EmptyFamilyError,
     Instance,
@@ -30,6 +30,8 @@ from helpers import (
     members,
     opened,
     plant,
+    scanned_max_dimension_set,
+    walked_max_dimension_stats,
 )
 
 
@@ -38,6 +40,20 @@ def test_dimension_examples():
     assert plant((None, None, 5), 6).max_dimension_stats() == (2, 1)
     assert plant((1, 2, 3), 4).max_dimension_stats() == (0, 1)
     assert FeasibleFamily.initial((2, 3, 2)).max_dimension_stats() == (3, 1)
+    # a planted family answers both queries as the scans do, before and
+    # after a request that splits it
+    for k, n in [(1, 2), (2, 3), (3, 2), (3, 3)]:
+        for pat in itertools.product(*([[None] + list(range(n))] * k)):
+            fam = plant(pat, n)
+            assert fam.max_dimension_stats() == walked_max_dimension_stats(fam)
+            m, top = fam.max_dimension_set()
+            assert (m, list(top)) == scanned_max_dimension_set(fam) == (dimension(pat), [
+                loop_mask(pat, n)])
+            fam.update((n - 1,) * k)
+            if fam.spaces:
+                assert fam.max_dimension_stats() == walked_max_dimension_stats(fam)
+                m, top = fam.max_dimension_set()
+                assert (m, list(top)) == scanned_max_dimension_set(fam)
 
 
 def test_has_infeasible_examples():
@@ -131,6 +147,7 @@ def test_point_bits_match_the_loop_mask():
             for _ in range(40):
                 point = tuple(rng.randrange(width) for _ in range(k))
                 assert sum(fam.point_bits(point)) == loop_mask(point, width)
+                assert fam.position_mask(point) == loop_mask(point, width)
                 i = rng.randrange(k)
                 for x in (width, width + rng.randrange(5), -1, -rng.randrange(1, width + 1)):
                     bad = point[:i] + (x,) + point[i + 1:]
@@ -203,6 +220,80 @@ def test_max_dimension_set():
     fam2.spaces.clear()
     with pytest.raises(EmptyFamilyError):
         fam2.max_dimension_set()
+
+
+@st.composite
+def query_runs(draw):
+    """Random or evasive traffic over several phases, with the steps after
+    which the two maximal-set queries are asked (often none, so that the
+    top dimension can drop more than once between two queries)."""
+    k = draw(st.integers(1, 6))
+    sizes = draw(st.lists(st.integers(2, 4), min_size=k, max_size=k))
+    steps = draw(st.integers(1, 150))
+    asks = draw(st.lists(st.sampled_from(["", "", "", "stats", "set", "both"]),
+                         min_size=steps, max_size=steps))
+    return sizes, draw(st.booleans()), draw(st.integers(0, 2**32 - 1)), asks
+
+
+def check_queries(sizes, evasive, seed, asks):
+    """Serve the traffic to a bare family, ask the queries where `asks`
+    says and once at the end, and compare every answer with the scans.
+    Returns the number of phases and the most top-dimension drops that
+    passed between two queries of the maximal set."""
+    instance = Instance.make(sizes)
+    rng = random.Random(seed)
+    fam, current, phases = None, (0,) * len(sizes), 0
+    last_m, most_drops = None, 0
+    for ask in asks + ["both"]:
+        if evasive:
+            r = evasive_next(instance, current, rng)
+        else:
+            r = tuple(rng.randrange(n) for n in sizes)
+        fam, phase_start, _ = next_family(fam, r, sizes)
+        if phase_start:
+            phases, last_m = phases + 1, None
+        current = fam.nearest_member(current)
+        if ask in ("stats", "both"):
+            assert fam.max_dimension_stats() == walked_max_dimension_stats(fam)
+        if ask in ("set", "both"):
+            m, top = fam.max_dimension_set()
+            assert (m, list(top)) == scanned_max_dimension_set(fam)
+            if last_m is not None:
+                most_drops = max(most_drops, last_m - m)
+            last_m = m
+    return phases, most_drops
+
+
+@settings(max_examples=200, deadline=None)
+@given(query_runs())
+def test_kept_maximal_set_matches_the_scans(run):
+    check_queries(*run)
+
+
+def test_kept_maximal_set_survives_several_drops_between_queries():
+    # asked every 9th request, the top dimension drops by 2 or more between
+    # two asks, and the runs cross phases
+    for sizes, evasive in [((2,) * 5, True), ((3, 3, 4, 2), False), ((3,) * 5, True)]:
+        asks = ["" if i % 9 else "set" for i in range(400)]
+        phases, most_drops = check_queries(list(sizes), evasive, 5, asks)
+        assert phases > 1 and most_drops >= 2
+
+
+def test_a_caller_cannot_change_a_later_maximal_set():
+    rng = random.Random(27)
+    mutations = [lambda t: t.append(0), lambda t: t.clear(), lambda t: t.reverse(),
+                 lambda t: t.__setitem__(0, -1), lambda t: t.__delitem__(0)]
+    for k, n in [(3, 3), (4, 2), (5, 3), (6, 4)]:
+        fam = None
+        for step in range(300):
+            fam = next_family(fam, tuple(rng.randrange(n) for _ in range(k)), [n] * k)[0]
+            _, top = fam.max_dimension_set()
+            try:
+                mutations[step % len(mutations)](top)
+            except (TypeError, AttributeError):
+                pass
+            m, again = fam.max_dimension_set()
+            assert (m, list(again)) == scanned_max_dimension_set(fam)
 
 
 def test_mask_order_is_canonical_pattern_order():
