@@ -39,6 +39,6 @@ from .certify import (
     potential,
     verify_certificate,
 )
-from .weighted import ConstantTable, WeightedAlgorithm, constants, learning_topk, round_weights
+from .weighted import WeightedAlgorithm, default_tour_sizes, learning_topk, round_weights
 
 __version__ = "0.1.0"

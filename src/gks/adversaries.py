@@ -93,13 +93,13 @@ class ClosedLoopResult:
     adversary_model: str   # "deterministic" or "oblivious-invalid"
 
 
-def run_closed_loop(algorithm, rounds: int, *, step_cap: int | None = None) -> ClosedLoopResult:
+def run_closed_loop(algorithm, rounds: int) -> ClosedLoopResult:
     """Rounds of the visit-everything strategy against a served algorithm.
 
     Each round repeats the request the current configuration misses until
     all 2^k configurations have been visited, then the visited set resets to
     the configuration the algorithm ends the round on.  A per-round step cap
-    (default 2^(2k)) guards against non-termination.
+    of 2^(2k) guards against non-termination.
     """
     instance = algorithm.instance
     if instance.sizes.count(2) != instance.k:
@@ -108,7 +108,7 @@ def run_closed_loop(algorithm, rounds: int, *, step_cap: int | None = None) -> C
         )
     k = instance.k
     target = 2 ** k
-    cap = step_cap if step_cap is not None else 2 ** (2 * k)
+    cap = 2 ** (2 * k)
     model = "oblivious-invalid" if getattr(algorithm, "randomized", False) else "deterministic"
 
     requests: list[Request] = []

@@ -115,12 +115,10 @@ class OnlineAlgorithm:
     phase opened so far, numbered from 1 by position, and optionally the
     full transcript.  After `serve(r)` the current configuration satisfies
     r and the cost grew by the move's Hamming distance.  A request served
-    without cost leaves `current` the same object, so `_position_mask`
-    builds the position's mask once per position it is asked at.
+    without cost leaves `current` the same object.
     """
 
     randomized = False
-    _mask_at: Config | None = None  # the position `_mask` belongs to
 
     def __init__(self, instance: Instance, start: Sequence[int] | None = None,
                  keep_transcript: bool = True):
@@ -192,15 +190,6 @@ class OnlineAlgorithm:
             self.serve(r)
         self.finalize()
 
-    def _position_mask(self) -> int:
-        """The mask of `current`, rebuilt only when the position moved since
-        it was last asked for."""
-        cur = self.current
-        if cur is not self._mask_at:
-            self._mask = self.family.position_mask(cur)
-            self._mask_at = cur
-        return self._mask
-
     def _serve(self, r: Request, phase_start: bool, shrunk: bool) -> Config:
         raise NotImplementedError
 
@@ -250,7 +239,7 @@ class GenericAlgorithm(OnlineAlgorithm):
         for i in reversed(range(k)):
             if r[i] > cur[i] and not own[i] & ~(twice | cols[i][r[i]]):
                 return cur[:i] + (r[i],) + cur[i + 1:]
-        return self.family.nearest_member(cur, self._position_mask())
+        return self.family.nearest_member(cur, self.family.position_mask(cur))
 
 
 class _SpaceFollower(OnlineAlgorithm):
@@ -291,7 +280,8 @@ class AlternativeAlgorithm(_SpaceFollower):
     """
 
     def _choose(self):
-        return nearest_space(self.family, self.current, self._position_mask())
+        fam, cur = self.family, self.current
+        return nearest_space(fam, cur, fam.position_mask(cur))
 
 
 class RandomizedAlgorithm(_SpaceFollower):

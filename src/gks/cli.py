@@ -16,6 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from .core import (
     CertificateImpossibleError,
@@ -272,6 +273,14 @@ def cmd_run(alg, seq_file, gen, steps, k, sizes, weights, seed, seeds, jobs,
     if with_certify and alg == "weighted":
         _fail(EXIT_INPUT, UNIFORM_ONLY)
     if seq_file is not None:
+        # the file gives the instance and the requests; --steps has a
+        # default, so only one given on the command line is refused
+        ctx = click.get_current_context()
+        given = [f"--{name}" for name in ("k", "sizes", "weights", "steps")
+                 if ctx.get_parameter_source(name) is ParameterSource.COMMANDLINE]
+        if given:
+            _fail(EXIT_INPUT, f"--seq reads the instance and requests from its file; "
+                              f"drop {', '.join(given)}")
         instance, requests = read_sequence(seq_file)
     else:
         instance = _instance_from_flags(k, sizes, weights)

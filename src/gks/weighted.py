@@ -21,11 +21,19 @@ move to an arbitrary point, realized as staying put; it is charged when the
 previous phase closes (at construction for the first, top level first),
 since nothing is spent before the next counted request.  Each level's open
 phase is recorded as its `phase_report` entry.
+
+The constants are one tuple of tour sizes c(1), ..., c(k): the paper's
+`default_tour_sizes(k)`, or smaller ones a caller passes to reach deep
+anatomy cheaply.  The paper's per-level ratio target R(i) = 2^(2^(i+2)) =
+8 c(i) R(i-1) is read by no code here; the constants self-tests check it
+against the tour sizes.  An instance whose c(k) or rounded weights have
+more digits than a report prints is refused when the algorithm is built.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -35,6 +43,7 @@ from .core import (
     Instance,
     InvalidInputError,
     InvariantViolationError,
+    ResourceLimitError,
     check_point_bits,
     format_fraction,
     satisfies,
@@ -42,67 +51,48 @@ from .core import (
 from .algorithms import Step, PhaseSummary
 
 
-class ConstantTable:
-    """Per-level tour sizes c(i) and ratio targets R(i).
-
-    The defaults are doubly exponential: c(i) = 2^(2^(i+1) - 3) and
-    R(i) = 2^(2^(i+2)), satisfying 8 c(i)^2 = c(i+1) and
-    R(i) = 8 c(i) R(i-1).  A scaled table (for exercising deep anatomy
-    cheaply in tests) keeps c(1) = 2 and derives R by the same recurrence.
-    """
-
-    def __init__(self, c_values: Mapping[int, int] | None = None):
-        self._c = dict(c_values) if c_values is not None else None
-        if self._c is not None:
-            for i, v in self._c.items():
-                if i < 1 or v < 1:
-                    raise InvalidInputError(f"bad scaled constant c({i})={v}")
-
-    def c(self, i: int) -> int:
-        if i < 1:
-            raise InvalidInputError(f"level index must be >= 1, got {i}")
-        if self._c is None:
-            return 2 ** (2 ** (i + 1) - 3)
-        try:
-            return self._c[i]
-        except KeyError:
-            raise InvalidInputError(f"scaled table has no c({i})") from None
-
-    def R(self, i: int) -> int:
-        if i < 1:
-            raise InvalidInputError(f"level index must be >= 1, got {i}")
-        if self._c is None:
-            return 2 ** (2 ** (i + 2))
-        value = 2 ** 8
-        for j in range(2, i + 1):
-            value = 8 * self.c(j) * value
-        return value
+# A report's integers are printed in decimal; when the interpreter prints
+# any length (`sys.set_int_max_str_digits(0)`), this bounds them instead.
+MAX_REPORT_DIGITS = 100_000
 
 
-DEFAULT_TABLE = ConstantTable()
+def _report_digits() -> int:
+    """The most decimal digits an integer in a report may have: as many as
+    `str` prints (`sys.get_int_max_str_digits`, absent before 3.10.7), never
+    above MAX_REPORT_DIGITS."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return min(limit, MAX_REPORT_DIGITS) if limit else MAX_REPORT_DIGITS
 
 
-def constants(i: int) -> tuple[int, int]:
-    """Default (c(i), R(i)) pair for level i."""
-    return DEFAULT_TABLE.c(i), DEFAULT_TABLE.R(i)
+def default_tour_sizes(k: int) -> tuple[int, ...]:
+    """The paper's tour sizes (c(1), ..., c(k)), c(i) = 2^(2^(i+1) - 3), so
+    that 8 c(i)^2 = c(i+1).  Raises ResourceLimitError, before building any,
+    when c(k) has more digits than a report prints."""
+    digits = _report_digits()
+    # 2^e < 10^digits exactly when e < bits; the first test keeps 2^(k+1) small
+    bits = (10 ** digits).bit_length()
+    if k >= bits.bit_length() or 2 ** (k + 1) - 3 >= bits:
+        raise ResourceLimitError(
+            f"tour size c({k}) = 2^(2^{k + 1} - 3) has more than {digits} digits, "
+            f"the most a report prints")
+    return tuple(2 ** (2 ** (i + 1) - 3) for i in range(1, k + 1))
 
 
 @dataclass(frozen=True)
 class RoundedWeights:
     """Normalized weights rounded up so lower-level phases tile subphases."""
 
-    original: tuple[Fraction, ...]
     rounded: tuple[int, ...]        # rounded[0] == 1 after normalization
     multipliers: tuple[int, ...]    # per level 2..k: rounded / rounding unit
-    units: tuple[int, ...]          # per level 2..k: the rounding unit
 
 
 def round_weights(weights: Sequence, *,
-                  table: ConstantTable | None = None) -> RoundedWeights:
+                  tour_sizes: Sequence[int] | None = None) -> RoundedWeights:
     """Normalize by the first weight, then round each level up to the
     smallest integral multiple of twice (1 + c(i-1)) times the previous
-    rounded weight.  Input must be ascending."""
-    table = table or DEFAULT_TABLE
+    rounded weight, with c(i) the i-th tour size (the paper's by default).
+    Input must be ascending; a rounded weight with more digits than a
+    report prints raises ResourceLimitError."""
     ws = tuple(Fraction(w) for w in weights)
     if not ws:
         raise InvalidInputError("need at least one weight")
@@ -111,17 +101,24 @@ def round_weights(weights: Sequence, *,
         raise InvalidInputError(f"weights must be positive, got {shown}")
     if any(a > b for a, b in zip(ws, ws[1:])):
         raise InvalidInputError(f"weights must be ascending, got {shown}")
+    if tour_sizes is None:
+        tour_sizes = default_tour_sizes(len(ws))
+    elif len(tour_sizes) != len(ws) or min(tour_sizes) < 1:
+        raise InvalidInputError(f"need {len(ws)} tour sizes, each at least 1")
+    digits = _report_digits()
+    top = 10 ** digits
     rounded = [1]
     multipliers = []
-    units = []
-    for i in range(2, len(ws) + 1):
-        unit = 2 * (1 + table.c(i - 1)) * rounded[-1]
-        target = ws[i - 1] / ws[0]
-        m = max(1, math.ceil(target / unit))
+    for i, c, w in zip(range(2, len(ws) + 1), tour_sizes, ws[1:]):
+        unit = 2 * (1 + c) * rounded[-1]
+        m = max(1, math.ceil(w / ws[0] / unit))
+        if m * unit >= top:
+            raise ResourceLimitError(
+                f"level {i}'s rounded weight has more than {digits} digits, "
+                f"the most a report prints")
         rounded.append(m * unit)
         multipliers.append(m)
-        units.append(unit)
-    return RoundedWeights(ws, tuple(rounded), tuple(multipliers), tuple(units))
+    return RoundedWeights(tuple(rounded), tuple(multipliers))
 
 
 def learning_topk(counts: Mapping[int, int], c: int, n_points: int) -> list[int]:
@@ -195,20 +192,20 @@ class WeightedAlgorithm:
     randomized = False
 
     def __init__(self, instance: Instance, start: Sequence[int] | None = None,
-                 keep_transcript: bool = True, table: ConstantTable | None = None,
+                 keep_transcript: bool = True, tour_sizes: Sequence[int] | None = None,
                  record_point_counts: bool = True):
         check_point_bits(instance)
         self.instance = instance
-        self.table = table or DEFAULT_TABLE
-        self.rounded = round_weights(instance.weights, table=self.table)
+        self.tour_sizes = default_tour_sizes(instance.k) if tour_sizes is None else tuple(tour_sizes)
+        self.rounded = round_weights(instance.weights, tour_sizes=self.tour_sizes)
         start = instance.check_coords((0,) * instance.k if start is None else start,
                                       what="start configuration")
 
-        self.phase_len_1 = 2 * (self.table.c(1) + 1)
-        self._levels = [_Level(i, w, self.table.c(i), m, n, pos, record_point_counts)
-                        for i, w, m, n, pos in zip(range(2, instance.k + 1), self.rounded.rounded[1:],
-                                                   self.rounded.multipliers, instance.sizes[1:],
-                                                   start[1:])]
+        self.phase_len_1 = 2 * (self.tour_sizes[0] + 1)
+        self._levels = [_Level(i, w, c, m, n, pos, record_point_counts)
+                        for i, w, c, m, n, pos in zip(
+                            range(2, instance.k + 1), self.rounded.rounded[1:], self.tour_sizes[1:],
+                            self.rounded.multipliers, instance.sizes[1:], start[1:])]
         self.current: Config = start
         self.total_cost = 0   # actual, every level
         self.counted = 0      # also the bottom server's cost, actual and charged
@@ -358,7 +355,7 @@ class WeightedAlgorithm:
     def phase_report(self) -> dict:
         """Structural summary of every completed phase, per level: copies of
         the records, whose lists are never written once the phase completes."""
-        k = self.instance.k
+        rounded, multipliers = self.rounded.rounded, self.rounded.multipliers
         levels = [{
             "level": 1,
             "weight": 1,
@@ -375,12 +372,12 @@ class WeightedAlgorithm:
                 "phases": [dict(rec) for rec in level.phase_records],
             })
         return {
-            "k": k,
-            "original_weights": [str(w) for w in self.rounded.original],
-            "rounded_weights": list(self.rounded.rounded),
-            "multipliers": list(self.rounded.multipliers),
-            "rounding_units": list(self.rounded.units),
-            "constants_c": [self.table.c(i) for i in range(1, k + 1)],
+            "k": self.instance.k,
+            "original_weights": [str(w) for w in self.instance.weights],
+            "rounded_weights": list(rounded),
+            "multipliers": list(multipliers),
+            "rounding_units": [w // m for w, m in zip(rounded[1:], multipliers)],
+            "constants_c": list(self.tour_sizes),
             "counted_requests": self.counted,
             "filtered_requests": self.filtered,
             "total_cost": self.total_cost,

@@ -50,6 +50,16 @@ def weighted_distance(a, b, weights):
     return sum((w for x, y, w in zip(a, b, weights) if x != y), Fraction(0))
 
 
+def ratio_targets(tour_sizes):
+    """The paper's per-level ratio targets R(1), ..., R(k) by their
+    recurrence R(1) = 2^8, R(i) = 8 c(i) R(i-1) over the tour sizes c;
+    the weighted algorithm reads none of them."""
+    targets = [2 ** 8]
+    for c in tour_sizes[1:]:
+        targets.append(8 * c * targets[-1])
+    return targets
+
+
 def all_configs(sizes):
     return list(itertools.product(*(range(n) for n in sizes)))
 

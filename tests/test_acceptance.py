@@ -35,7 +35,7 @@ from gks.certify import (
     verify_certificate,
 )
 from gks.offline import opt_cost
-from gks.weighted import ConstantTable, WeightedAlgorithm, constants, round_weights
+from gks.weighted import WeightedAlgorithm, default_tour_sizes, round_weights
 
 from helpers import (
     dimension,
@@ -43,6 +43,7 @@ from helpers import (
     family_union,
     members,
     plant,
+    ratio_targets,
     replay_space_choices,
 )
 
@@ -418,7 +419,7 @@ def test_criterion_8_weighted_anatomy():
     alg3 = WeightedAlgorithm(inst3, keep_transcript=False, record_point_counts=False)
     assert alg3.rounded.rounded == (1, 6, 396)
     assert alg3.rounded.multipliers == (1, 1)
-    total_needed = (constants(3)[0] + 1) * 198  # 8193 subphases x 198 requests
+    total_needed = (default_tour_sizes(3)[2] + 1) * 198  # 8193 subphases x 198 requests
     assert total_needed == 1_622_214
     drive_unsatisfied(alg3, total_needed + 500, seed=9)
     l2, l3 = alg3._levels
@@ -437,17 +438,17 @@ def test_criterion_8_weighted_anatomy():
 
     # four or more levels cannot complete a phase at the default constants:
     # the tour alone is c(4)+1 subphases
-    c4 = constants(4)[0]
+    c4 = default_tour_sizes(4)[3]
     assert c4 == 536_870_912
     # property-based substitute at scaled constants: the same anatomy laws
-    table = ConstantTable({1: 2, 2: 4, 3: 6, 4: 8})
+    tour_sizes = (2, 4, 6, 8)
     inst4 = Instance.make([2, 2, 2, 2], [1, 6, 60, 840])
-    alg4 = WeightedAlgorithm(inst4, table=table, keep_transcript=False)
+    alg4 = WeightedAlgorithm(inst4, tour_sizes=tour_sizes, keep_transcript=False)
     drive_unsatisfied(alg4, 2 * 1890 + 100, seed=10)
     top = alg4._levels[-1]
     assert len(top.phase_records) >= 2
     for rec in top.phase_records:
-        assert rec["subphases"] == table.c(4) + 1 == 9
+        assert rec["subphases"] == tour_sizes[3] + 1 == 9
         assert all(x == 840 for x in rec["lower_charged_per_subphase"])
         assert rec["phase_cost_actual"] <= 2 * 9 * 840
 
@@ -467,14 +468,16 @@ def test_criterion_8_weighted_anatomy():
 
 def test_criterion_9_constants_and_ratio():
     t0 = time.perf_counter()
+    # R(i), the paper's per-level ratio target, is read by no program code:
+    # its recurrence over the tour sizes must give its closed form
+    c = default_tour_sizes(7)
+    R = ratio_targets(c)
     for i in range(1, 7):
-        c_i, r_i = constants(i)
+        c_i, r_i = c[i - 1], R[i - 1]
         assert c_i == 2 ** (2 ** (i + 1) - 3)
         assert r_i == 2 ** (2 ** (i + 2))
-        assert 8 * c_i * c_i == constants(i + 1)[0]
-        if i >= 2:
-            assert r_i == 8 * c_i * constants(i - 1)[1]
-    assert constants(1)[0] == 2
+        assert 8 * c_i * c_i == c[i]
+    assert c[0] == 2
 
     # measured two-level ratio stays far below R_2 on an instance whose
     # declared weights are already rounded (so the optimum prices match)

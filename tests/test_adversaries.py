@@ -179,10 +179,18 @@ def test_closed_loop_ratio_bound_small():
 
 
 def test_closed_loop_step_cap():
-    inst = Instance.uniform(2, 2)
-    alg = GenericAlgorithm(inst)
-    with pytest.raises(ResourceLimitError):
-        run_closed_loop(alg, rounds=1, step_cap=1)
+    # an algorithm that never moves visits one configuration, so the
+    # round's cap of 2^(2k) = 16 steps at k = 2 ends it
+    class Parked:
+        instance = Instance.uniform(2, 2)
+        current = (0, 0)
+
+        def serve(self, r):
+            pass
+
+    with pytest.raises(ResourceLimitError,
+                       match="^round exceeded step cap 16 with 1/4 configurations visited$"):
+        run_closed_loop(Parked(), rounds=1)
 
 
 def test_closed_loop_sequence_replayable(tmp_path):

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from gks import certify, cli, spaces
 from gks.cli import exact_decimal, main
 from gks.certify import CertificateVerdicts, read_certificate, verify_certificate
 from gks.core import CertificateImpossibleError, Instance, write_sequence
+from gks.weighted import WeightedAlgorithm
 
 
 @pytest.fixture
@@ -612,6 +614,46 @@ def test_weighted_run_report(runner, tmp_path):
     assert anatomy["rounded_weights"] == [1, 12]
     assert report["cost_units"] == "rounded-normalized"
     assert "opt" in report and "ratio" in report
+
+
+DIGITS = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--k", "13", "--sizes", "2"], f"tour size c(13) = 2^(2^14 - 3) has more than {DIGITS} digits"),
+    (["--k", "34", "--sizes", "2"], f"tour size c(34) = 2^(2^35 - 3) has more than {DIGITS} digits"),
+    (["--k", "2", "--sizes", "3", "--weights", "1/70,1" + "0" * (DIGITS - 1)],
+     f"level 2's rounded weight has more than {DIGITS} digits"),
+], ids=["c13", "c34", "rounded-weight"])
+def test_weighted_run_refuses_what_the_report_cannot_print(runner, tmp_path, monkeypatch,
+                                                           flags, message):
+    # exit 3 with one line, before anything is served or written
+    def serve(*args, **kwargs):
+        raise AssertionError("served a request the report cannot print")
+
+    monkeypatch.setattr(WeightedAlgorithm, "serve", serve)
+    outputs = [tmp_path / name for name in ("r.json", "t.tsv", "s.gks")]
+    result = runner.invoke(main, ["run", "--alg", "weighted", "--gen", "random", *flags,
+                                  "--out", str(outputs[0]), "--transcript-out", str(outputs[1]),
+                                  "--dump-seq", str(outputs[2])])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.stderr.splitlines() == [f"error: {message}, the most a report prints"]
+    assert not any(path.exists() for path in outputs)
+
+
+def test_run_seq_refuses_generator_flags(runner, seq_file):
+    # the file gives the instance and the requests; --steps is refused only
+    # when given, since it has a default
+    for extra, named in ((["--k", "5", "--sizes", "9", "--weights", "1,2,3", "--steps", "7"],
+                          "--k, --sizes, --weights, --steps"),
+                         (["--steps", "1000"], "--steps"),
+                         (["--weights", "1,1"], "--weights")):
+        result = runner.invoke(main, ["run", "--alg", "det", "--seq", str(seq_file), *extra])
+        assert_input_error(result)
+        assert result.stderr.splitlines() == [
+            f"error: --seq reads the instance and requests from its file; drop {named}"]
+    assert runner.invoke(main, ["run", "--alg", "det", "--seq", str(seq_file)]).exit_code == 0
 
 
 WEIGHTED_EVASIVE = ["run", "--alg", "weighted", "--gen", "evasive", "--k", "2", "--sizes", "3",

@@ -26,7 +26,7 @@ from gks.algorithms import (
 from gks.certify import certify_transcript, write_certificate
 from gks.cli import main
 from gks.core import Instance, write_sequence
-from gks.weighted import ConstantTable, WeightedAlgorithm
+from gks.weighted import WeightedAlgorithm
 
 from helpers import replay_space_choices
 
@@ -157,8 +157,7 @@ def test_weighted_records():
     for sizes, weights, kw, steps in (
         ([3], [1], {}, 200),
         ([3, 3], [1, 7], {}, 3000),
-        ([2, 2, 2], [1, 6, 60], dict(table=ConstantTable({1: 2, 2: 4, 3: 8}),
-                                     record_point_counts=False), 3000),
+        ([2, 2, 2], [1, 6, 60], dict(tour_sizes=(2, 4, 8), record_point_counts=False), 3000),
     ):
         inst = Instance.make(sizes, weights)
         alg = WeightedAlgorithm(inst, **kw)

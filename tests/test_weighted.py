@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,15 +11,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gks.algorithms import ALGORITHMS, RandomizedAlgorithm
-from gks.core import Instance, InvalidInputError, InvariantViolationError, satisfies
+from gks.core import (
+    Instance,
+    InvalidInputError,
+    InvariantViolationError,
+    ResourceLimitError,
+    satisfies,
+)
 from gks.adversaries import evasive_next, random_request, run_evasive
 from gks.weighted import (
-    ConstantTable,
+    MAX_REPORT_DIGITS,
     WeightedAlgorithm,
-    constants,
+    default_tour_sizes,
     learning_topk,
     round_weights,
 )
+
+from helpers import ratio_targets
 
 
 def run_weighted(alg, steps, seed, after_serve=None):
@@ -39,32 +48,91 @@ def assert_current_is_level_positions(alg):
 
 
 def test_constant_values():
-    assert constants(1) == (2, 256)
-    assert constants(2) == (32, 65536)
-    assert constants(3)[0] == 8192
-    assert constants(2)[1] == 8 * 32 * 256  # recurrence matches the closed form
+    assert default_tour_sizes(3) == (2, 32, 8192)
+    assert default_tour_sizes(1) == (2,)
+    assert ratio_targets(default_tour_sizes(2)) == [256, 65536]
 
 
 def test_constant_identities():
-    t = ConstantTable()
+    # R(i), the paper's per-level ratio target, is read by no program code;
+    # its recurrence over the tour sizes is checked against its closed form
+    c = default_tour_sizes(7)
+    R = ratio_targets(c)
     for i in range(1, 7):
-        c_i, r_i = t.c(i), t.R(i)
-        assert 8 * c_i * c_i == t.c(i + 1)
-        assert 4 * (c_i + 1) * c_i <= t.c(i + 1)
+        c_i, r_i = c[i - 1], R[i - 1]
+        assert 8 * c_i * c_i == c[i]
+        assert 4 * (c_i + 1) * c_i <= c[i]
         if i >= 2:
-            assert r_i == 8 * c_i * t.R(i - 1)
+            assert r_i == 8 * c_i * R[i - 2]
         assert c_i == 2 ** (2 ** (i + 1) - 3)
         assert r_i == 2 ** (2 ** (i + 2))
 
 
 def test_scaled_table():
-    t = ConstantTable({1: 2, 2: 4, 3: 8})
-    assert t.c(2) == 4
-    assert t.R(2) == 8 * 4 * 256
-    with pytest.raises(InvalidInputError):
-        t.c(4)
-    with pytest.raises(InvalidInputError):
-        ConstantTable({1: 0})
+    # a scaled tuple of tour sizes replaces the paper's, one per level
+    inst = Instance.make([3, 3, 3], [1, 6, 60])
+    alg = WeightedAlgorithm(inst, tour_sizes=[2, 4, 8])
+    assert alg.tour_sizes == (2, 4, 8) and [level.c for level in alg._levels] == [4, 8]
+    assert alg.phase_len_1 == 6 and alg.phase_report()["constants_c"] == [2, 4, 8]
+    for bad in ((2, 4), (2, 4, 8, 16), (), (2, 0, 8), (-1, 4, 8)):
+        with pytest.raises(InvalidInputError, match="^need 3 tour sizes, each at least 1$"):
+            WeightedAlgorithm(inst, tour_sizes=bad)
+        with pytest.raises(InvalidInputError):
+            round_weights(inst.weights, tour_sizes=bad)
+
+
+def test_tour_sizes_past_the_printed_digits_are_refused():
+    # c(12) has 2,466 digits and c(13) 4,932, past the 4,300 a report prints
+    # by default; c(34) would take 4 GiB, so its exponent is checked first
+    assert len(str(default_tour_sizes(12)[-1])) == 2466
+    WeightedAlgorithm(Instance.uniform(12, 2), keep_transcript=False)
+    limit = sys.get_int_max_str_digits()
+    for k in (13, 34, 10 ** 6):
+        with pytest.raises(ResourceLimitError, match=rf"^tour size c\({k}\) = 2\^\(2\^{k + 1} - 3\) "
+                                                     rf"has more than {limit} digits"):
+            default_tour_sizes(k)
+    for k in (13, 34):
+        with pytest.raises(ResourceLimitError):
+            WeightedAlgorithm(Instance.uniform(k, 2))
+        with pytest.raises(ResourceLimitError):
+            round_weights([1] * k)
+
+
+def test_tour_size_bound_follows_the_interpreter_digit_limit():
+    # c(11) has 1,233 digits: a limit of 1,233 prints it, 1,232 does not;
+    # with the limit switched off the fixed bound still applies
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(1233)
+        assert default_tour_sizes(11)[-1] == 2 ** 4093
+        sys.set_int_max_str_digits(1232)
+        with pytest.raises(ResourceLimitError, match="more than 1232 digits"):
+            default_tour_sizes(11)
+        sys.set_int_max_str_digits(0)
+        assert len(str(default_tour_sizes(17)[-1])) <= MAX_REPORT_DIGITS
+        with pytest.raises(ResourceLimitError, match=f"more than {MAX_REPORT_DIGITS} digits"):
+            default_tour_sizes(18)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_rounded_weights_past_the_printed_digits_are_refused():
+    # 1/70 then 10^4299 rounds to a multiple of 6 near 7 * 10^4300: 4,301
+    # digits; 10^4298 rounds to 4,300, the most a report prints
+    limit = sys.get_int_max_str_digits()
+    fits = round_weights([Fraction(1, 70), 10 ** (limit - 2)])
+    assert len(str(fits.rounded[1])) == limit
+    with pytest.raises(ResourceLimitError,
+                       match=f"^level 2's rounded weight has more than {limit} digits"):
+        round_weights([Fraction(1, 70), 10 ** (limit - 1)])
+    with pytest.raises(ResourceLimitError):
+        WeightedAlgorithm(Instance.make([3, 3], [Fraction(1, 70), 10 ** (limit - 1)]))
+    # at the unit 2 (1 + 49) = 100, 10^limit - 50 rounds up to 10^limit
+    # itself, one digit too many
+    fits = round_weights([1, 10 ** limit - 100], tour_sizes=(49, 49))
+    assert fits.rounded[1] == 10 ** limit - 100
+    with pytest.raises(ResourceLimitError):
+        round_weights([1, 10 ** limit - 50], tour_sizes=(49, 49))
 
 
 def test_round_weights_examples():
@@ -96,8 +164,8 @@ def test_round_weights_never_undercuts():
         k = rng.randrange(1, 4)
         ws = sorted(Fraction(rng.randrange(1, 40), rng.randrange(1, 7)) for _ in range(k))
         rw = round_weights(ws)
-        for orig, rounded in zip(rw.original, rw.rounded):
-            assert rounded >= orig / rw.original[0]
+        for orig, rounded in zip(ws, rw.rounded):
+            assert rounded >= orig / ws[0]
 
 
 def test_learning_topk():
@@ -214,17 +282,17 @@ def test_fraction_flags_match_recorded_counts_in_both_modes():
 
 @st.composite
 def scaled_runs(draw):
-    """A scaled table at k = 2..4 with multipliers 1 or 2, exact weights for
+    """Scaled tour sizes at k = 2..4 with multipliers 1 or 2, exact weights for
     them, and evasive or random traffic (random on three or four points)."""
     k = draw(st.integers(2, 4))
-    c = {1: 2, **{i: draw(st.integers(1, 3)) for i in range(2, k + 1)}}
+    c = (2, *(draw(st.integers(1, 3)) for _ in range(2, k + 1)))
     weights = [1]
     for i in range(2, k + 1):
-        weights.append(draw(st.integers(1, 2)) * 2 * (1 + c[i - 1]) * weights[-1])
+        weights.append(draw(st.integers(1, 2)) * 2 * (1 + c[i - 2]) * weights[-1])
     traffic = draw(st.sampled_from(["evasive", "random"]))
     low = 3 if traffic == "random" else 2
     sizes = draw(st.lists(st.integers(low, 4), min_size=k, max_size=k))
-    return ConstantTable(c), Instance.make(sizes, weights), traffic, draw(st.integers(0, 99))
+    return c, Instance.make(sizes, weights), traffic, draw(st.integers(0, 99))
 
 
 def assert_anatomy_laws(level_report, n_real):
@@ -249,9 +317,9 @@ def assert_anatomy_laws(level_report, n_real):
 @settings(max_examples=30, deadline=None)
 @given(scaled_runs())
 def test_every_completed_entry_obeys_the_anatomy_laws(case):
-    table, inst, traffic, seed = case
-    kept = WeightedAlgorithm(inst, keep_transcript=False, table=table)
-    lean = WeightedAlgorithm(inst, keep_transcript=False, table=table,
+    tour_sizes, inst, traffic, seed = case
+    kept = WeightedAlgorithm(inst, keep_transcript=False, tour_sizes=tour_sizes)
+    lean = WeightedAlgorithm(inst, keep_transcript=False, tour_sizes=tour_sizes,
                              record_point_counts=False)
     rng = random.Random(seed)
     while kept.phase <= 2:
@@ -287,8 +355,8 @@ def test_phase_opening_charged_at_construction():
     # every upper level's first phase opens with a move charged at its
     # weight into the levels above it, before any request is served: a
     # level's ledgers are the run totals' growth since its subphase opened
-    table = ConstantTable({1: 2, 2: 4, 3: 8, 4: 16})
-    alg = WeightedAlgorithm(Instance.make([3, 3, 3, 3], [1, 6, 60, 1080]), table=table)
+    alg = WeightedAlgorithm(Instance.make([3, 3, 3, 3], [1, 6, 60, 1080]),
+                            tour_sizes=(2, 4, 8, 16))
     w = alg.rounded.rounded
     assert alg.charged == sum(w[1:])
     for i, level in enumerate(alg._levels, start=2):
@@ -298,9 +366,8 @@ def test_phase_opening_charged_at_construction():
 
 
 def test_three_level_anatomy_scaled_constants():
-    table = ConstantTable({1: 2, 2: 4, 3: 8})
     inst = Instance.make([3, 3, 3], [1, 6, 60])
-    alg = WeightedAlgorithm(inst, table=table)
+    alg = WeightedAlgorithm(inst, tour_sizes=(2, 4, 8))
     assert alg.rounded.rounded == (1, 6, 60)
     assert alg.rounded.multipliers == (1, 1)
     # level-2 phase: 5 subphases x 1 x 6 = 30 requests
@@ -365,10 +432,10 @@ def test_weighted_serve_moves_reported():
 
 @pytest.mark.parametrize("sizes, weights, table, steps", [
     ([3, 3], [1, 7], None, 2 * 396 + 100),
-    ([3, 3, 3, 3], [1, 6, 60, 1080], ConstantTable({1: 2, 2: 4, 3: 8, 4: 16}), 2 * 4590 + 300),
+    ([3, 3, 3, 3], [1, 6, 60, 1080], (2, 4, 8, 16), 2 * 4590 + 300),
 ])
 def test_cached_configuration_matches_level_positions(sizes, weights, table, steps):
-    alg = WeightedAlgorithm(Instance.make(sizes, weights), table=table)
+    alg = WeightedAlgorithm(Instance.make(sizes, weights), tour_sizes=table)
     assert_current_is_level_positions(alg)
     run_weighted(alg, steps, seed=6, after_serve=assert_current_is_level_positions)
     assert len(alg._levels[-1].phase_records) >= 2 and alg.phase >= 3
