@@ -14,9 +14,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import getitem
+from operator import eq, getitem, ne
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence, Union
+from typing import IO, Iterable, Iterator, NoReturn, Sequence, Union
 
 from .core import (
     Config,
@@ -29,12 +29,10 @@ from .core import (
     below,
     check_point_bits,
     format_fraction,
-    hamming,
     header_lines,
     parse_fraction,
     parse_int,
     parse_ints,
-    satisfies,
     write_lines,
 )
 from .spaces import FeasibleFamily, Pattern
@@ -100,6 +98,16 @@ def next_family(family: FeasibleFamily | None, r: Request,
     return family, True, True
 
 
+def refuse(instance: Instance, request) -> NoReturn:
+    """Name the fault in a request the family refused: the instance's
+    `check_coords` raises its own error for it.  The family accepts exactly
+    what `check_coords` does, so a request that passes there is a fault of
+    the program, and raises InvariantViolationError."""
+    instance.check_coords(request)
+    raise InvariantViolationError(
+        f"the feasible family refused request {request!r}, which the instance accepts")
+
+
 def nearest_space(family: FeasibleFamily, current: Config, mask: int | None = None) -> int:
     """Mask of the pattern whose nearest member is cheapest from `current`
     (whose mask `mask` is, if given); ties go to the smallest mask, which is
@@ -149,14 +157,21 @@ class OnlineAlgorithm:
         if self.phase_summaries:
             self._close_phase(complete=False)
 
-    def serve(self, r: Sequence[int]) -> Step:
-        r = self.instance.check_coords(r)
+    def serve(self, request: Sequence[int]) -> Step:
+        # the family's bit lookup is the request check, and it refuses
+        # before any state changes; `refuse` names the fault of the tuple,
+        # or of the request itself when it makes no tuple
+        r = request
+        try:
+            r = tuple(request)
+            family, phase_start, shrunk = next_family(self.family, r, self.instance.sizes)
+        except (TypeError, InvalidInputError):
+            refuse(self.instance, r)
         pre = self.current
         summaries = self.phase_summaries
-        family, phase_start, shrunk = next_family(self.family, r, self.instance.sizes)
         if phase_start:
             if self.family is not None:
-                if satisfies(pre, r):
+                if any(map(eq, pre, r)):
                     raise InvariantViolationError(
                         "family emptied by a request the current state satisfies"
                     )
@@ -165,9 +180,9 @@ class OnlineAlgorithm:
             summaries.append(PhaseSummary(len(summaries) + 1))
 
         post = self._serve(r, phase_start, shrunk)
-        if not satisfies(post, r):
+        if not any(map(eq, post, r)):
             raise InvariantViolationError(f"post-state {post} does not satisfy request {r}")
-        cost = 0 if post is pre else hamming(pre, post)  # staying put is free
+        cost = 0 if post is pre else sum(map(ne, pre, post))  # staying put is free
         if cost:
             self.current = post
             self.total_cost += cost
@@ -225,7 +240,7 @@ class GenericAlgorithm(OnlineAlgorithm):
             for col, x in zip(cols, r):
                 col[x] |= bit
         cur = self.current
-        if satisfies(cur, r):
+        if any(map(eq, cur, r)):
             return cur
         own = list(map(getitem, cols, cur))
         seen = twice = 0
@@ -342,12 +357,16 @@ class DistributionTracker:
         self._masses: dict[int, Fraction] = {}  # maximal mask -> probability
         self.steps: list[TrackerStep] = []
 
-    def step(self, r: Sequence[int]) -> TrackerStep:
-        r = self.instance.check_coords(r)
+    def step(self, request: Sequence[int]) -> TrackerStep:
+        r = request  # checked by the family, as in `OnlineAlgorithm.serve`
+        try:
+            r = tuple(request)
+            self.family, phase_start, _ = next_family(self.family, r, self.instance.sizes)
+        except (TypeError, InvalidInputError):
+            refuse(self.instance, r)
         # a step's phase is the previous step's plus its phase start
         m_prev, phase = (self.steps[-1].m_cur, self.steps[-1].phase) if self.steps else (-1, 0)
         size_prev = len(self._masses)
-        self.family, phase_start, _ = next_family(self.family, r, self.instance.sizes)
         if phase_start:
             self._masses = {}
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import chain
 from operator import attrgetter, contains, eq, ne
@@ -107,8 +108,13 @@ class Instance:
                     shown = format_fraction(w) if isinstance(w, Fraction) else repr(w)
                     raise InvalidInputError(
                         f"metric {i}: weight must be a positive Fraction, got {shown}")
-        # not a field: equality, hash and repr stay those of (k, sizes, weights)
-        object.__setattr__(self, "_ranges", tuple(map(range, self.sizes)))
+
+    @cached_property
+    def _ranges(self) -> tuple[range, ...]:
+        """Each metric's points, for `check_coords`; built on first use and
+        kept in the instance's __dict__, so equality, hash and repr stay
+        those of (k, sizes, weights)."""
+        return tuple(map(range, self.sizes))
 
     @classmethod
     def make(cls, sizes: Sequence[int], weights: Sequence[WeightLike] | None = None) -> "Instance":

@@ -63,11 +63,13 @@ def check_caps(instance: Instance, steps: int, state_cap: int = DEFAULT_STATE_CA
         )
 
 
-def _layers(instance: Instance, start: Config, requests: Sequence[Request]):
-    """Yield (t, values, scale): values[j] / scale is the layer-t cost of
-    the j-th configuration in row-major (itertools.product) order.  The one
-    table is updated in place, so read it before advancing.  The start,
-    the caps and the requests are checked by the caller."""
+def _table(instance: Instance, start: Config):
+    """(values, scale, step): values[j] / scale is the cost of the j-th
+    configuration in row-major (itertools.product) order, layer 0 at first;
+    step(r) advances the one table in place to the next layer and returns
+    what it rewrote: r's box as a list of cells, or on two-point metrics its
+    one cell.  The start, the caps and the requests are checked by the
+    caller."""
     sizes = instance.sizes
     scale = math.lcm(*(w.denominator for w in instance.weights))
     weights = [w.numerator * (scale // w.denominator) for w in instance.weights]
@@ -76,6 +78,9 @@ def _layers(instance: Instance, start: Config, requests: Sequence[Request]):
     values = [0]
     for n, w, x in zip(sizes, weights, start):
         values = [v + (0 if y == x else w) for v in values for y in range(n)]
+    # Instance refuses sizes below 2, so a largest size of 2 means two points everywhere
+    if max(sizes) == 2:
+        return values, scale, _two_point_step(values, strides, weights)
     # per axis, the offsets -(n-1)s .. -s, s .. (n-1)s: the n - 1 of them from
     # -x·s on lead from point x to the axis's other points.  Repeated once per
     # box cell inside the axis and tiled once per cell outside it, that window
@@ -100,13 +105,9 @@ def _layers(instance: Instance, start: Config, requests: Sequence[Request]):
                       for back, w in zip(backs, weights)]
         for c, v in zip(box, map(min, zip(*candidates))):
             values[c] = v
+        return box
 
-    # Instance refuses sizes below 2, so a largest size of 2 means two points everywhere
-    step = _two_point_step(values, strides, weights) if max(sizes) == 2 else box_step
-    yield 0, values, scale
-    for t, r in enumerate(requests, start=1):
-        step(r)
-        yield t, values, scale
+    return values, scale, box_step
 
 
 def _two_point_step(values: list[int], strides: Sequence[int], weights: Sequence[int]):
@@ -121,6 +122,7 @@ def _two_point_step(values: list[int], strides: Sequence[int], weights: Sequence
         c = last - sum(map(mul, r, strides))
         values[c] = min(map(add, map(read, map(sub, repeat(c), map(getitem, flips, r))),
                             weights))
+        return c
     return step
 
 
@@ -133,8 +135,9 @@ def opt_cost(instance: Instance, start: Sequence[int], requests: Sequence[Reques
         return Fraction(0)
     check_caps(instance, len(requests), state_cap, work_cap)
     instance.check_requests(requests)
-    for _, values, scale in _layers(instance, start, requests):
-        pass
+    values, scale, step = _table(instance, start)
+    for r in requests:
+        step(r)
     return Fraction(min(values), scale)
 
 
@@ -144,8 +147,12 @@ def work_function_minima(instance: Instance, start: Sequence[int],
                          work_cap: int = DEFAULT_WORK_CAP) -> list[Fraction]:
     """Cheapest table value after 0..T requests, in one forward pass.
 
-    Each minimum scans the whole table, so besides the box work the T·N
-    cells scanned must fit `work_cap` too; no requests need no table."""
+    Table values never decrease, so the pass keeps the minimum and the
+    cells that hold it; a request drops those of its rewritten cells that
+    rose, and only when none is left is the table scanned for the next
+    minimum.  A scan can follow every request at worst, so besides the box
+    work the T·N cells that would scan must fit `work_cap` too; no requests
+    need no table."""
     start = instance.check_coords(start, what="start configuration")
     if not requests:
         return [Fraction(0)]
@@ -157,4 +164,19 @@ def work_function_minima(instance: Instance, start: Sequence[int],
             f"exceeds cap {work_cap}"
         )
     instance.check_requests(requests)
-    return [Fraction(min(values), scale) for _, values, scale in _layers(instance, start, requests)]
+    values, scale, step = _table(instance, start)
+    if max(instance.sizes) == 2:  # the two-point step rewrites one cell
+        one = step
+        step = lambda r: (one(r),)
+    low = min(values)
+    at_low = {c for c, v in enumerate(values) if v == low}
+    minima = [low]
+    for r in requests:
+        for c in at_low.intersection(step(r)):
+            if values[c] != low:
+                at_low.remove(c)
+        if not at_low:
+            low = min(values)
+            at_low = {c for c, v in enumerate(values) if v == low}
+        minima.append(low)
+    return [Fraction(v, scale) for v in minima]

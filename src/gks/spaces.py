@@ -25,6 +25,7 @@ from operator import getitem
 from typing import Sequence
 
 from .core import (
+    _INT,
     Config,
     EmptyFamilyError,
     InvalidInputError,
@@ -41,11 +42,14 @@ def pattern_str(pattern: Pattern) -> str:
 
 
 @lru_cache(maxsize=1)
-def _bit_table(k: int, width: int) -> tuple[tuple[int, ...], ...]:
-    """Per coordinate i, the row of its bits: entry x is `1 << ((k-1-i)*width + x)`.
-    Rows are immutable, as every family of this (k, width) shares them; only
-    the shape in use is kept, up to 16 MiB at the point-bit bound."""
-    return tuple(tuple(1 << ((k - 1 - i) * width + x) for x in range(width)) for i in range(k))
+def _bit_table(sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Per coordinate i, the row of its nᵢ bits: entry x is `1 << ((k-1-i)*W + x)`
+    for W = max(sizes).  Rows are immutable, as every family of these sizes
+    shares them; only the sizes in use are kept, up to 16 MiB at the
+    point-bit bound."""
+    k, width = len(sizes), max(sizes)
+    return tuple(tuple(1 << ((k - 1 - i) * width + x) for x in range(n))
+                 for i, n in enumerate(sizes))
 
 
 class FeasibleFamily:
@@ -61,9 +65,10 @@ class FeasibleFamily:
     Re-creation of a pattern that is still alive is merged and counted in
     `duplicate_creations` rather than kept twice.  A destroyed pattern can
     never be re-created (its members left the feasible union for good),
-    which `update` checks, raising InvariantViolationError.  A point outside [0, width) would alias
-    another coordinate's bit, so the family refuses it: a point's bits come
-    from a per-(k, width) table (see `point_bits`).
+    which `update` checks, raising InvariantViolationError.  A point's bits
+    come from a table with exactly nᵢ entries for coordinate i (see
+    `point_bits`), so the family accepts exactly the requests its instance
+    does, and refuses one before it changes anything.
 
     Between requests the family keeps its top dimension `_top` and the
     maximal set it last listed, `_maximal` (see `max_dimension_set`).  Both
@@ -80,13 +85,14 @@ class FeasibleFamily:
     Single writer: `update` mutates in place.
     """
 
-    __slots__ = ("k", "width", "spaces", "created", "duplicate_creations", "_dim_hist",
+    __slots__ = ("k", "sizes", "width", "spaces", "created", "duplicate_creations", "_dim_hist",
                  "_created_hist", "_bits", "_top", "_maximal")
 
-    def __init__(self, k: int, width: int):
-        self.k = k
-        self.width = width
-        self._bits = _bit_table(k, width)
+    def __init__(self, sizes: Sequence[int]):
+        self.sizes = sizes = tuple(sizes)
+        self.k = k = len(sizes)
+        self.width = max(sizes)
+        self._bits = _bit_table(sizes)
         self.spaces: dict[int, int] = {}   # alive mask -> free-coordinate bits
         self.created: set[int] = set()     # distinct masks created in the phase
         self.duplicate_creations: int = 0
@@ -100,8 +106,8 @@ class FeasibleFamily:
         """The family a phase starts from: the whole space of a product of
         metrics with these sizes, as the one pattern with every coordinate
         free.  Its first request splits it."""
-        k = len(sizes)
-        fam = cls(k, max(sizes))
+        fam = cls(sizes)
+        k = fam.k
         fam.spaces[0] = (1 << k) - 1
         fam._dim_hist[k] = 1
         fam._top = k
@@ -109,16 +115,17 @@ class FeasibleFamily:
 
     def point_bits(self, point: Sequence[int]) -> list[int]:
         """The bit of each coordinate of a configuration or request, by
-        coordinate; their sum is its mask.  Indexing a table row refuses an
-        entry >= width or one that is not an int, and one test of the
-        minimum refuses negatives."""
+        coordinate; their sum is its mask.  Accepts exactly what the
+        instance's `check_coords` does: k entries of type exactly `int`
+        (no bool), 0 <= xᵢ < nᵢ.  A table row refuses an entry >= nᵢ, and
+        one test of the minimum refuses negatives."""
         try:
-            if min(point) >= 0:
+            if len(point) == self.k and _INT.issuperset(map(type, point)) and min(point) >= 0:
                 return list(map(getitem, self._bits, point))
-        except (IndexError, TypeError):
+        except (IndexError, TypeError):  # an entry past its row; a point with no length
             pass
-        raise InvalidInputError(
-            f"point {tuple(point)} has an entry that is not an int in [0, {self.width})")
+        raise InvalidInputError(f"point {point!r} is not {self.k} ints in [0, nᵢ) "
+                                f"for the sizes {self.sizes}")
 
     def position_mask(self, config: Config) -> int:
         """The mask of a configuration already checked against the instance,
@@ -147,8 +154,6 @@ class FeasibleFamily:
         is touched only when one of its members misses r, and every such
         member is covered by no other surviving pattern.
         """
-        if len(r) != self.k:
-            raise InvalidInputError(f"request has {len(r)} coordinates, expected {self.k}")
         rbits = self.point_bits(r)
         rmask = sum(rbits)
         spaces = self.spaces

@@ -86,6 +86,17 @@ class RoundedWeights:
     multipliers: tuple[int, ...]    # per level 2..k: rounded / rounding unit
 
 
+def _written(ws: Sequence[Fraction]) -> str:
+    """The weights as written, for an error message; one whose digits `str`
+    does not print shows as the most it prints."""
+    def shown(w: Fraction) -> str:
+        try:
+            return format_fraction(w)
+        except ValueError:
+            return f"<more than {sys.get_int_max_str_digits()} digits>"
+    return ",".join(map(shown, ws))
+
+
 def round_weights(weights: Sequence, *,
                   tour_sizes: Sequence[int] | None = None) -> RoundedWeights:
     """Normalize by the first weight, then round each level up to the
@@ -96,11 +107,10 @@ def round_weights(weights: Sequence, *,
     ws = tuple(Fraction(w) for w in weights)
     if not ws:
         raise InvalidInputError("need at least one weight")
-    shown = ",".join(map(format_fraction, ws))
     if any(w <= 0 for w in ws):
-        raise InvalidInputError(f"weights must be positive, got {shown}")
+        raise InvalidInputError(f"weights must be positive, got {_written(ws)}")
     if any(a > b for a, b in zip(ws, ws[1:])):
-        raise InvalidInputError(f"weights must be ascending, got {shown}")
+        raise InvalidInputError(f"weights must be ascending, got {_written(ws)}")
     if tour_sizes is None:
         tour_sizes = default_tour_sizes(len(ws))
     elif len(tour_sizes) != len(ws) or min(tour_sizes) < 1:

@@ -1,8 +1,9 @@
 """Independent oracles for the test suite, kept deliberately naive, two
 builders of the program's own feasible family, the scans that its kept
-top dimension and maximal set replaced, the text-file readers and
-writers that the program's per-call caches replaced, and the `randrange`
-traffic generators that its direct bit draws replaced."""
+top dimension, maximal set and work-function minimum replaced, the
+text-file readers and writers that the program's per-call caches
+replaced, and the `randrange` traffic generators that its direct bit
+draws replaced."""
 
 import io
 import itertools
@@ -23,7 +24,7 @@ from gks.core import (
     parse_ints,
     satisfies,
 )
-from gks.offline import _layers, check_caps
+from gks.offline import _table, check_caps
 from gks.spaces import FeasibleFamily
 
 
@@ -129,9 +130,24 @@ def work_function_layer(instance: Instance, start, requests, t,
     start = instance.check_coords(start, what="start configuration")
     check_caps(instance, t, state_cap, work_cap)
     instance.check_requests(requests[:t])
-    for layer_t, values, scale in _layers(instance, start, requests[:t]):
-        if layer_t == t:
-            return {q: Fraction(v, scale) for q, v in zip(all_configs(instance.sizes), values)}
+    values, scale, step = _table(instance, start)
+    for r in requests[:t]:
+        step(r)
+    return {q: Fraction(v, scale) for q, v in zip(all_configs(instance.sizes), values)}
+
+
+def scanned_minima(instance: Instance, start, requests):
+    """The program's table minimum after 0..T requests, each by a scan of
+    the whole table, as `work_function_minima` found them before it kept
+    the minimum between requests."""
+    start = instance.check_coords(start, what="start configuration")
+    instance.check_requests(requests)
+    values, scale, step = _table(instance, start)
+    minima = [Fraction(min(values), scale)]
+    for r in requests:
+        step(r)
+        minima.append(Fraction(min(values), scale))
+    return minima
 
 
 def monomial_expansion(q, r):
@@ -220,7 +236,7 @@ def loop_mask(entries, width):
 def plant(pattern, width):
     """A family holding `pattern` alone, with the per-dimension count and
     the top dimension that the family keeps for it."""
-    fam = FeasibleFamily(len(pattern), width)
+    fam = FeasibleFamily((width,) * len(pattern))
     free = sum(1 << i for i, v in enumerate(pattern) if v is None)
     fam.spaces[loop_mask(pattern, width)] = free
     fam._dim_hist[free.bit_count()] = 1

@@ -1,5 +1,6 @@
 """Tests for the three unit-weight algorithms and the distribution tracker."""
 
+import enum
 import math
 import random
 import tracemalloc
@@ -10,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gks.core import MAX_POINT_BITS, Instance, InvalidInputError, ResourceLimitError, satisfies
+from gks.core import (
+    MAX_POINT_BITS,
+    Instance,
+    InvalidInputError,
+    InvariantViolationError,
+    ResourceLimitError,
+    satisfies,
+)
 from gks.algorithms import (
     ALGORITHMS,
     AlternativeAlgorithm,
@@ -429,3 +437,110 @@ def test_det_index_width_is_the_phase_shrink_count():
     summary, = alg.phase_summaries
     assert summary.requests == 10_000 and summary.shrinks == 2
     assert max(v.bit_length() for col in alg._cols for v in col) == summary.shrinks
+
+
+class Level(enum.IntEnum):
+    LOW = 0
+    HIGH = 1
+
+
+@st.composite
+def malformed_requests(draw):
+    """An instance, valid requests to serve first, and one malformed request:
+    a coordinate that is a bool, an IntEnum, negative, past its own metric
+    but inside the mask layout's width, a float, a str or a list; a wrong
+    length; or no iterable at all."""
+    k = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(2, 5), min_size=k, max_size=k))
+    inst = Instance.make(sizes)
+    point = st.tuples(*(st.integers(0, n - 1) for n in sizes))
+    prefix = draw(st.lists(point, max_size=12))
+    good = list(draw(point))
+    i = draw(st.integers(0, k - 1))
+    kind = draw(st.sampled_from(["bool", "enum", "negative", "past", "float", "str",
+                                 "list", "short", "long", "scalar"]))
+    if kind == "past" and sizes[i] == max(sizes):
+        kind = "negative"
+    bad = {
+        "bool": lambda x: bool(x % 2),
+        "enum": lambda x: Level(x % 2),
+        "negative": lambda x: -1 - x,
+        "past": lambda x: draw(st.integers(sizes[i], max(sizes) - 1)),
+        "float": float,
+        "str": str,
+        "list": lambda x: [x],
+    }
+    if kind in bad:
+        good[i] = bad[kind](good[i])
+        request = tuple(good)
+    elif kind == "short":
+        request = tuple(good[:-1])
+    elif kind == "long":
+        request = tuple(good) + (0,)
+    else:
+        request = draw(st.sampled_from([good[0], None]))
+    return inst, prefix, request
+
+
+def served_state(alg):
+    fam = alg.family
+    return (alg.current, alg.total_cost, len(alg.transcript), repr(alg.phase_summaries),
+            None if fam is None else (dict(fam.spaces), set(fam.created),
+                                      fam.duplicate_creations, list(fam._dim_hist)),
+            getattr(alg, "_space_mask", None), alg.rng.getstate() if alg.randomized else None)
+
+
+def tracked_state(tracker):
+    fam = tracker.family
+    return (len(tracker.steps), dict(tracker._masses),
+            None if fam is None else (dict(fam.spaces), set(fam.created)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(malformed_requests(), st.sampled_from(["det", "alt", "rand", "tracker"]))
+def test_malformed_requests_are_refused_as_check_coords_refuses_them(case, alg_id):
+    # the family's bit lookup is the request check: a request it refuses
+    # raises what `check_coords` raises for it, and changes nothing
+    inst, prefix, request = case
+    with pytest.raises(InvalidInputError) as expected:
+        inst.check_coords(request)
+    if alg_id == "tracker":
+        alg = DistributionTracker(inst)
+        alg.run(prefix)
+        serve, state = alg.step, tracked_state
+    else:
+        alg = make(alg_id, inst, seed=3)
+        alg.run(prefix)
+        serve, state = alg.serve, served_state
+    before = state(alg)
+    with pytest.raises(InvalidInputError) as refused:
+        serve(request)
+    assert type(refused.value) is type(expected.value)
+    assert str(refused.value) == str(expected.value)
+    assert state(alg) == before
+
+
+def test_a_request_the_family_alone_refuses_is_an_invariant_violation(monkeypatch):
+    # `check_coords` names every fault the family refuses; one it accepts
+    # means the family and the instance disagree
+    inst = Instance.uniform(2, 3)
+    for alg in (GenericAlgorithm(inst), DistributionTracker(inst)):
+        serve = alg.serve if isinstance(alg, GenericAlgorithm) else alg.step
+        serve((0, 1))
+        monkeypatch.setattr(FeasibleFamily, "update", lambda fam, r: fam.point_bits(r[1:]))
+        with pytest.raises(InvariantViolationError, match="refused request"):
+            serve((1, 2))
+        monkeypatch.undo()
+
+
+def test_requests_of_any_sequence_type_serve_alike():
+    # a list or a generator serves as its tuple; a generator that is refused
+    # is named by the tuple it made, not by an emptied iterator
+    inst = Instance.make([3, 2, 4])
+    seq = random_sequence(inst, 40, seed=8)
+    as_tuples, as_lists = GenericAlgorithm(inst), GenericAlgorithm(inst)
+    as_tuples.run(seq)
+    as_lists.run(list(r) for r in seq)
+    assert as_tuples.transcript == as_lists.transcript
+    with pytest.raises(InvalidInputError, match="^request coordinate 1 = 2 out of range"):
+        as_lists.serve(x for x in (0, 2, 0))

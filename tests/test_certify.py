@@ -236,7 +236,7 @@ def test_potential_examples():
     # generic bound: opening potential stays within k H(k!)
     for k in range(1, 7):
         assert initial_potential(k) <= k * harmonic(math.factorial(k))
-    empty = FeasibleFamily(2, 3)
+    empty = FeasibleFamily((3, 3))
     assert potential(empty) == 0
 
 

@@ -222,6 +222,18 @@ def test_instance_takes_int_and_fraction_subclasses():
         Instance(1, (2,), (Half(-1, 2),))
 
 
+def test_instance_builds_its_point_ranges_on_first_check():
+    # a large instance refused before it checks a point never builds them;
+    # they are no field, so equality, hash and pickling ignore them
+    inst = Instance.uniform(300_000, 2)
+    assert "_ranges" not in vars(inst)
+    small, twin = Instance.make([3, 2]), Instance.make([3, 2])
+    assert small.check_coords([2, 1]) == (2, 1)
+    assert small._ranges == (range(3), range(2)) and "_ranges" not in vars(twin)
+    assert small == twin and hash(small) == hash(twin) and repr(small) == repr(twin)
+    assert pickle.loads(pickle.dumps(small)) == twin
+
+
 def test_below_draws_as_randrange():
     # same values and the same generator state after, n = 1 included
     for n in set(range(1, 71)) | {2 ** j + d for j in range(1, 70) for d in (-1, 0, 1)}:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gks.core import Instance, InvalidInputError, ResourceLimitError
 from gks.algorithms import GenericAlgorithm
-from gks.adversaries import random_sequence
+from gks.adversaries import random_sequence, run_evasive
 from gks.offline import check_caps, opt_cost, work_function_minima
 
 from helpers import (
@@ -17,6 +17,7 @@ from helpers import (
     brute_force_opt,
     check_coords,
     naive_layers,
+    scanned_minima,
     two_point_layers,
     weighted_distance,
     work_function_layer,
@@ -231,6 +232,40 @@ def test_two_point_step_matches_naive_definition(case):
     # offline_cases rarely draws every size 2 at k >= 4, where the
     # two-point step runs
     check_against_naive_layers(*case)
+
+
+@st.composite
+def minima_cases(draw):
+    """An instance with k <= 4, every metric of 3 to 5 points and positive
+    rational weights, any start and up to 80 requests, as random traffic or
+    as requests that each repeat one coordinate of the last."""
+    k = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(3, 5), min_size=k, max_size=k))
+    weights = draw(st.lists(st.builds(Fraction, st.integers(1, 30), st.integers(1, 8)),
+                            min_size=k, max_size=k))
+    point = st.tuples(*(st.integers(0, n - 1) for n in sizes))
+    return Instance.make(sizes, weights), draw(point), draw(st.lists(point, max_size=80))
+
+
+@settings(max_examples=80, deadline=None)
+@given(minima_cases())
+def test_kept_minima_match_the_full_scan(case):
+    # the kept minimum and its cells against a scan of the whole table
+    # after every request, where the box step runs
+    inst, start, seq = case
+    assert work_function_minima(inst, start, seq) == scanned_minima(inst, start, seq)
+
+
+@pytest.mark.parametrize("sizes", [(4,) * 4, (2,) * 9, (3, 5, 4)])
+def test_kept_minima_match_the_full_scan_on_long_runs(sizes):
+    # long enough that the minimum rises many times, each time a rescan
+    inst = Instance.make(sizes)
+    alg = GenericAlgorithm(inst, keep_transcript=False)
+    for seq in (random_sequence(inst, 600, seed=5), run_evasive(alg, 600, 5)):
+        minima = work_function_minima(inst, (0,) * inst.k, seq)
+        assert minima == scanned_minima(inst, (0,) * inst.k, seq)
+        assert minima[-1] == opt_cost(inst, (0,) * inst.k, seq)
+    assert minima[-1] > 0  # evasive traffic, last, raises the minimum
 
 
 @pytest.mark.parametrize("k", [10, 11, 12, 13])

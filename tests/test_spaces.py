@@ -1,5 +1,6 @@
 """Tests for patterns, splitting, and feasible-family evolution."""
 
+import enum
 import itertools
 import random
 
@@ -143,7 +144,7 @@ def test_point_bits_match_the_loop_mask():
     rng = random.Random(14)
     for k in range(1, 9):
         for width in range(2, 6):
-            fam = FeasibleFamily(k, width)
+            fam = FeasibleFamily((width,) * k)
             for _ in range(40):
                 point = tuple(rng.randrange(width) for _ in range(k))
                 assert sum(fam.point_bits(point)) == loop_mask(point, width)
@@ -299,7 +300,7 @@ def test_a_caller_cannot_change_a_later_maximal_set():
 def test_mask_order_is_canonical_pattern_order():
     for k, sizes in [(1, (3,)), (2, (2, 4)), (3, (3, 2, 2)), (4, (2, 2, 2, 2))]:
         width = max(sizes) + 1
-        fam = FeasibleFamily(k, width)
+        fam = FeasibleFamily((width,) * k)
         patterns = list(itertools.product(*([None] + list(range(n)) for n in sizes)))
         masks = {p: loop_mask(p, width) for p in patterns}
         assert sorted(patterns, key=masks.get) == sorted(patterns, key=canonical_key)
@@ -419,11 +420,30 @@ def test_family_matches_naive_beyond_31_coordinates():
 
 
 def test_only_the_bit_table_in_use_is_cached():
-    # one table per (k, width); serving a second shape drops the first
+    # one table per `sizes`; serving other sizes drops it, even of the same
+    # (k, width), since rows hold exactly nᵢ entries
     spaces._bit_table.cache_clear()
-    for instance in (Instance.uniform(3, 3), Instance.make([2, 5])):
+    for instance in (Instance.uniform(3, 3), Instance.make([2, 5]), Instance.make([5, 3])):
         GenericAlgorithm(instance, keep_transcript=False).run(random_sequence(instance, 30, 1))
     info = spaces._bit_table.cache_info()
-    assert info.currsize == 1 and info.misses == 2 and info.hits > 0
-    assert FeasibleFamily(2, 5)._bits is spaces._bit_table(2, 5)
-    assert spaces._bit_table.cache_info().misses == 2
+    assert info.currsize == 1 and info.misses == 3 and info.hits > 0
+    assert FeasibleFamily([5, 3])._bits is spaces._bit_table((5, 3))
+    assert spaces._bit_table.cache_info().misses == 3
+    assert [len(row) for row in spaces._bit_table((5, 3))] == [5, 3]
+
+
+def test_point_bits_refuse_points_past_their_own_metric():
+    # the layout's width is max(sizes), but coordinate i takes only nᵢ
+    # points, and only entries of type exactly int: no bool, no IntEnum
+    class Point(enum.IntEnum):
+        ONE = 1
+
+    fam = FeasibleFamily.initial((4, 2, 3))
+    assert sum(fam.point_bits((3, 1, 2))) == loop_mask((3, 1, 2), 4)
+    for bad in [(0, 2, 0), (0, 3, 0), (0, 0, 3), (True, 0, 0), (0, False, 0),
+                (Point.ONE, 0, 0), (0, 0), (0, 0, 0, 0), (0, -1, 0), (0, 2 ** 70, 0)]:
+        with pytest.raises(InvalidInputError):
+            fam.point_bits(bad)
+        with pytest.raises(InvalidInputError):
+            fam.update(bad)
+    assert fam.spaces == {0: 0b111} and fam.created == set()

@@ -487,3 +487,18 @@ def test_serving_after_finalize_keeps_one_summary_per_phase(alg_id, sizes):
     assert phases == list(range(1, len(phases) + 1))
     assert all(s.complete for s in alg.phase_summaries[:-1])
     assert sum(s.requests for s in alg.phase_summaries) == 1000
+
+
+def test_round_weights_prints_only_the_weights_of_its_errors():
+    # a weight with more digits than `str` prints is no ValueError: past the
+    # first weight it is a rounded weight too long for a report, and in an
+    # error message it shows as the most digits `str` prints
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ResourceLimitError, match="^level 2's rounded weight has more than"):
+        round_weights([1, 10 ** limit])
+    with pytest.raises(InvalidInputError,
+                       match=rf"^weights must be ascending, got <more than {limit} digits>,1$"):
+        round_weights([10 ** limit, 1])
+    with pytest.raises(InvalidInputError,
+                       match=rf"^weights must be positive, got 0,<more than {limit} digits>$"):
+        round_weights([0, 10 ** limit])
