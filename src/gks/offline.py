@@ -15,21 +15,43 @@ configurations that miss it:
 * a box cell q becomes minⱼ v[q with qⱼ ← rⱼ] + wⱼ, since every serving s
   has some sⱼ = rⱼ, and q with qⱼ ← rⱼ serves r and is wⱼ closer to s.
 
-Box cells read only serving cells, so one request updates the table in
-place at O(k·∏(nᵢ − 1)).  On two-point metrics the box is a single cell:
-the configuration that flips every coordinate of r, at row-major index
-(N − 1) − Σ rᵢ·sᵢ for strides sᵢ.  Its k reads lie at ∓sᵢ from it, so such
-a request costs k reads and one write, and no box lists are built.
-Weights are scaled once by the common denominator, so every table is a list
-of exact Python ints and results come back as Fraction(value, scale).
+Three engines apply this rule, chosen by the instance:
+
+* Every metric of two points: the box is a single cell, the configuration
+  that flips every coordinate of r, at row-major index (N − 1) − Σ rᵢ·sᵢ
+  for strides sᵢ.  The strides are powers of two, so its k reads lie at
+  index XOR sᵢ, and a request costs k reads and one write.
+* Unit weights and every metric of three or more points: level sets.  Any
+  two configurations are at most k apart, so by the Lipschitz bound
+  v − min v takes only the values 0..k, and the layer is kept as its
+  minimum and the k nested sets Lₐ = {q : v[q] ≤ min + a}, a < k, each a
+  Python int with one bit per row-major cell.  A box cell reaches level a
+  when some qⱼ ← rⱼ lies in Lₐ₋₁, so the box's part of Lₐ is Lₐ₋₁ cut to
+  the slab {qⱼ = rⱼ} and shifted by (y − rⱼ)·sⱼ onto every other point y,
+  ORed over the axes: a few whole-table bit operations per level, in
+  place of k reads per box cell.  The minimum rises by at most one per
+  request, when L₀ lies inside the box (a box cell's serving neighbour is
+  at most one above it).  This ran 2.3–16× faster than the box table on
+  unit shapes from (3,3) to (4)^6, and about 17× per request at (5)^8
+  (`BENCH_level_opt.json`).
+* Otherwise the box table: a list of exact ints, and per request each box
+  cell reads its k serving neighbours, O(k·∏(nᵢ − 1)).  Level sets ran
+  slower on most such shapes: with weights, one set per distinct value ran
+  at 0.55–0.70× the table on (3,4,4)/(1,6,396) and (4,4,4)/(1,3/2,7); and
+  where two-point metrics keep the box to a few cells, as on (2)^11×(3),
+  (2)^6×(3)^4 and (2)^8×(4), the unit level sets ran at 0.36–0.78×.
+
+The caps count box work for every engine.  Weights are scaled once by the
+common denominator, so every table is exact and results come back as
+Fraction(value, scale).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, repeat
-from operator import add, getitem, mul, sub
+from itertools import accumulate, chain, repeat
+from operator import add, getitem, mul, xor
 from typing import Sequence
 
 from .core import Config, Instance, Request, ResourceLimitError
@@ -112,18 +134,97 @@ def _table(instance: Instance, start: Config):
 
 def _two_point_step(values: list[int], strides: Sequence[int], weights: Sequence[int]):
     """The update for request r when every metric has two points: its box is
-    the one cell c = (N - 1) - Σ rᵢ·sᵢ that flips every coordinate of r, and
-    qᵢ ← rᵢ moves c by -sᵢ when rᵢ = 0 and by +sᵢ when rᵢ = 1."""
+    the one cell c = (N - 1) - Σ rᵢ·sᵢ, whose coordinate i is 1 - rᵢ, so
+    qᵢ ← rᵢ reads the cell c XOR sᵢ."""
     last = len(values) - 1
-    flips = [(s, -s) for s in strides]
     read = values.__getitem__
 
     def step(r):
         c = last - sum(map(mul, r, strides))
-        values[c] = min(map(add, map(read, map(sub, repeat(c), map(getitem, flips, r))),
-                            weights))
+        values[c] = min(map(add, map(read, map(xor, repeat(c), strides)), weights))
         return c
     return step
+
+
+def _on_levels(instance: Instance) -> bool:
+    """True when the optimum runs on level sets: unit weights, and every
+    metric of three or more points."""
+    return min(instance.sizes) >= 3 and instance.is_unit_uniform
+
+
+def _tiled(pattern: int, period: int, times: int) -> int:
+    """`times` copies of `pattern`, `period` bits apart, by doubling."""
+    tiled = width = 0
+    while times:
+        if times & 1:
+            tiled |= pattern << width
+            width += period
+        pattern |= pattern << period
+        period *= 2
+        times >>= 1
+    return tiled
+
+
+def _level_sets(sizes: Sequence[int], start: Config):
+    """(sets, step) for a unit-weight instance.  sets is [L₀, L₁, ...]: bit
+    c of Lₐ is set when the c-th configuration in row-major order costs at
+    most the minimum + a, and the list stops before the first set that
+    would hold every cell.  step(r) advances sets in place to the next
+    layer and returns its minimum; layer 0's is 0.  The start, the caps and
+    the requests are checked by the caller."""
+    n_cells = math.prod(sizes)
+    full = (1 << n_cells) - 1
+    # per axis and point x: the slab {qᵢ = x} and the shifts that carry it
+    # onto the axis's other points
+    strides = [math.prod(sizes[i + 1:]) for i in range(len(sizes))]
+    axes = []
+    for n, stride in zip(sizes, strides):
+        slab = _tiled((1 << stride) - 1, n * stride, n_cells // (n * stride))
+        axes.append([(slab << x * stride,
+                      [(y - x) * stride for y in range(x + 1, n)],
+                      [(x - y) * stride for y in range(x)])
+                     for x in range(n)])
+
+    def reached(below, moves):
+        """The cells one move away, along some axis j, from a cell of
+        `below` on the j-th slab of `moves`."""
+        out = 0
+        for slab, ups, downs in moves:
+            part = below & slab
+            if part:
+                for d in ups:
+                    out |= part << d
+                for d in downs:
+                    out |= part >> d
+        return out
+
+    moves = list(map(getitem, axes, start))
+    # layer 0: Lₐ holds the cells that differ from the start on at most a
+    # coordinates, and only Lₖ holds every cell
+    sets = [1 << sum(map(mul, start, strides))]
+    for _ in sizes[1:]:
+        sets.append(sets[-1] | reached(sets[-1], moves))
+    low = 0
+
+    def step(r):
+        nonlocal low
+        moves = list(map(getitem, axes, r))
+        serving = 0  # r's slabs
+        for slab, _, _ in moves:
+            serving |= slab
+        box = full ^ serving
+        new = [sets[0] & serving]
+        for below, level in zip(sets, chain(sets[1:], (full,))):
+            cells = (level & serving) | (reached(below, moves) & box)
+            if cells == full:
+                break
+            new.append(cells)
+        if not new[0]:  # L₀ lay inside the box: the minimum rises by one
+            del new[0]
+            low += 1
+        sets[:] = new
+        return low
+    return sets, step
 
 
 def opt_cost(instance: Instance, start: Sequence[int], requests: Sequence[Request],
@@ -135,6 +236,11 @@ def opt_cost(instance: Instance, start: Sequence[int], requests: Sequence[Reques
         return Fraction(0)
     check_caps(instance, len(requests), state_cap, work_cap)
     instance.check_requests(requests)
+    if _on_levels(instance):
+        _, step = _level_sets(instance.sizes, start)
+        for r in requests:
+            low = step(r)
+        return Fraction(low)
     values, scale, step = _table(instance, start)
     for r in requests:
         step(r)
@@ -147,8 +253,9 @@ def work_function_minima(instance: Instance, start: Sequence[int],
                          work_cap: int = DEFAULT_WORK_CAP) -> list[Fraction]:
     """Cheapest table value after 0..T requests, in one forward pass.
 
-    Table values never decrease, so the pass keeps the minimum and the
-    cells that hold it; a request drops those of its rewritten cells that
+    Level sets return their minimum from each step.  On a table, whose
+    values never decrease, the pass keeps the minimum and the cells that
+    hold it; a request drops those of its rewritten cells that
     rose, and only when none is left is the table scanned for the next
     minimum.  A scan can follow every request at worst, so besides the box
     work the T·N cells that would scan must fit `work_cap` too; no requests
@@ -164,6 +271,9 @@ def work_function_minima(instance: Instance, start: Sequence[int],
             f"exceeds cap {work_cap}"
         )
     instance.check_requests(requests)
+    if _on_levels(instance):  # the level sets carry their minimum
+        _, step = _level_sets(instance.sizes, start)
+        return [Fraction(0), *map(Fraction, map(step, requests))]
     values, scale, step = _table(instance, start)
     if max(instance.sizes) == 2:  # the two-point step rewrites one cell
         one = step

@@ -1,6 +1,7 @@
 """Independent oracles for the test suite, kept deliberately naive, two
 builders of the program's own feasible family, the scans that its kept
-top dimension, maximal set and work-function minimum replaced, the
+top dimension, maximal set and work-function minimum replaced, the box
+table that the unit-weight level sets replaced, the
 text-file readers and writers that the program's per-call caches
 replaced, and the `randrange` traffic generators that its direct bit
 draws replaced."""
@@ -24,7 +25,7 @@ from gks.core import (
     parse_ints,
     satisfies,
 )
-from gks.offline import _table, check_caps
+from gks.offline import _level_sets, _on_levels, _table, check_caps
 from gks.spaces import FeasibleFamily
 
 
@@ -122,6 +123,43 @@ def two_point_layers(instance: Instance, start, requests):
         yield layer
 
 
+def box_tables(instance: Instance, start, requests):
+    """Yield (values, scale) after 0..T requests from the box table (or,
+    on two-point metrics, its one-cell step), whatever engine `opt_cost`
+    picks: values[j] / scale is the j-th configuration's cost in row-major
+    order.  The one list is updated in place, so read it before advancing."""
+    values, scale, step = _table(instance, start)
+    yield values, scale
+    for r in requests:
+        step(r)
+        yield values, scale
+
+
+def decoded_levels(sets, low, n_cells):
+    """Level sets as a row-major table: cell c costs low + the first a
+    whose set Lₐ holds c, or low + len(sets) when none does."""
+    values = [low + len(sets)] * n_cells
+    for a in reversed(range(len(sets))):
+        for c, bit in enumerate(bin(sets[a])[:1:-1]):
+            if bit == "1":
+                values[c] = low + a
+    return values
+
+
+def engine_tables(instance: Instance, start, requests):
+    """Yield (values, scale) after 0..T requests from the engine that
+    `opt_cost` dispatches to, the level sets decoded into a fresh list."""
+    if not _on_levels(instance):
+        yield from box_tables(instance, start, requests)
+        return
+    sets, step = _level_sets(instance.sizes, start)
+    n_cells = instance.state_count()
+    yield decoded_levels(sets, 0, n_cells), 1
+    for r in requests:
+        low = step(r)
+        yield decoded_levels(sets, low, n_cells), 1
+
+
 def work_function_layer(instance: Instance, start, requests, t,
                         state_cap=10_000, work_cap=50_000_000):
     """The program's layer-t table as a dict from configuration to exact cost."""
@@ -130,9 +168,8 @@ def work_function_layer(instance: Instance, start, requests, t,
     start = instance.check_coords(start, what="start configuration")
     check_caps(instance, t, state_cap, work_cap)
     instance.check_requests(requests[:t])
-    values, scale, step = _table(instance, start)
-    for r in requests[:t]:
-        step(r)
+    for values, scale in engine_tables(instance, start, requests[:t]):
+        pass
     return {q: Fraction(v, scale) for q, v in zip(all_configs(instance.sizes), values)}
 
 
@@ -142,12 +179,8 @@ def scanned_minima(instance: Instance, start, requests):
     the minimum between requests."""
     start = instance.check_coords(start, what="start configuration")
     instance.check_requests(requests)
-    values, scale, step = _table(instance, start)
-    minima = [Fraction(min(values), scale)]
-    for r in requests:
-        step(r)
-        minima.append(Fraction(min(values), scale))
-    return minima
+    return [Fraction(min(values), scale)
+            for values, scale in engine_tables(instance, start, requests)]
 
 
 def monomial_expansion(q, r):

@@ -10,12 +10,15 @@ from hypothesis import strategies as st
 from gks.core import Instance, InvalidInputError, ResourceLimitError
 from gks.algorithms import GenericAlgorithm
 from gks.adversaries import random_sequence, run_evasive
+import gks.offline as offline
 from gks.offline import check_caps, opt_cost, work_function_minima
 
 from helpers import (
     all_configs,
+    box_tables,
     brute_force_opt,
     check_coords,
+    engine_tables,
     naive_layers,
     scanned_minima,
     two_point_layers,
@@ -266,6 +269,80 @@ def test_kept_minima_match_the_full_scan_on_long_runs(sizes):
         assert minima == scanned_minima(inst, (0,) * inst.k, seq)
         assert minima[-1] == opt_cost(inst, (0,) * inst.k, seq)
     assert minima[-1] > 0  # evasive traffic, last, raises the minimum
+
+
+@st.composite
+def unit_cases(draw):
+    """A unit-weight instance with k <= 4 and every metric of 3 to 5
+    points, where the level sets run, any start and up to 30 requests."""
+    k = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(3, 5), min_size=k, max_size=k))
+    point = st.tuples(*(st.integers(0, n - 1) for n in sizes))
+    return Instance.make(sizes), draw(point), draw(st.lists(point, max_size=30))
+
+
+def check_levels_against_box_table(inst, start, seq):
+    """Every decoded layer against the box table's, and the minima and the
+    optimum against the table's minima."""
+    tables = []
+    for (levels, one), (values, scale) in zip(engine_tables(inst, start, seq),
+                                              box_tables(inst, start, seq)):
+        assert one == scale == 1
+        assert levels == values
+        tables.append(levels)
+    assert len(tables) == len(seq) + 1
+    minima = [min(table) for table in tables]
+    assert work_function_minima(inst, start, seq) == minima
+    assert opt_cost(inst, start, seq) == minima[-1]
+    # the Lipschitz bound that caps the levels at k + 1 values
+    assert all(max(table) - min(table) <= inst.k for table in tables)
+    return tables
+
+
+@settings(max_examples=120, deadline=None)
+@given(unit_cases())
+def test_level_sets_match_box_table_and_naive_definition(case):
+    inst, start, seq = case
+    tables = check_levels_against_box_table(inst, start, seq)
+    if inst.state_count() <= 125:  # the definition compares every pair of cells
+        configs = all_configs(inst.sizes)
+        for table, layer in zip(tables, naive_layers(inst, start, seq)):
+            assert dict(zip(configs, table)) == layer
+
+
+@pytest.mark.parametrize("sizes", [(4,) * 4, (5,) * 4, (3,) * 8])
+def test_level_sets_match_box_table_on_long_runs(sizes):
+    # long enough that the minimum rises several times, each time a
+    # renormalization of the levels
+    inst = Instance.make(sizes)
+    rng = random.Random(len(sizes) * 10 + sizes[0])
+    start = tuple(rng.randrange(n) for n in sizes)
+    alg = GenericAlgorithm(inst, keep_transcript=False)
+    for seq in (random_sequence(inst, 400, seed=11), run_evasive(alg, 400, 11)):
+        minima = [min(table) for table in check_levels_against_box_table(inst, start, seq)]
+        assert minima[-1] >= 5
+
+
+def test_each_instance_class_gets_its_engine(monkeypatch):
+    used = []
+    for name in ("_level_sets", "_table", "_two_point_step"):
+        real = getattr(offline, name)
+        monkeypatch.setattr(offline, name,
+                            lambda *args, real=real, name=name: used.append(name) or real(*args))
+    cases = {
+        "all two-point": (Instance.make([2, 2, 2]), ["_table", "_two_point_step"]),
+        "two-point, weighted": (Instance.make([2, 2], [1, "5/2"]), ["_table", "_two_point_step"]),
+        "unit, every size >= 3": (Instance.make([3, 5, 4]), ["_level_sets"]),
+        "weighted": (Instance.make([3, 3], [1, 7]), ["_table"]),
+        "equal weights other than 1": (Instance.make([3, 3], [2, 2]), ["_table"]),
+        "mixed, unit": (Instance.make([2, 3, 3]), ["_table"]),
+    }
+    for what, (inst, engine) in cases.items():
+        seq = random_sequence(inst, 20, seed=1)
+        for solve in (opt_cost, work_function_minima):
+            used.clear()
+            solve(inst, (0,) * inst.k, seq)
+            assert used == engine, what
 
 
 @pytest.mark.parametrize("k", [10, 11, 12, 13])
