@@ -342,7 +342,7 @@ def cmd_run(alg, seq_file, gen, steps, k, sizes, weights, seed, seeds, jobs,
               help="Cap on requests * k * (n1-1)*...*(nk-1), the box updates' work")
 @click.option("--trace-wf", is_flag=True, default=False,
               help="Also print the cheapest table value after every request; "
-                   "its requests * states scan must fit --work-cap too")
+                   "a table rescans when it rises, at most --work-cap cells in all")
 def cmd_opt(seq_file, start, state_cap, work_cap, trace_wf):
     """Print the exact offline optimum for a sequence file."""
     instance, requests = read_sequence(seq_file)

@@ -41,9 +41,17 @@ Three engines apply this rule, chosen by the instance:
   where two-point metrics keep the box to a few cells, as on (2)^11×(3),
   (2)^6×(3)^4 and (2)^8×(4), the unit level sets ran at 0.36–0.78×.
 
-The caps count box work for every engine.  Weights are scaled once by the
-common denominator, so every table is exact and results come back as
-Fraction(value, scale).
+The three share one contract, which `_engine` returns once the checks pass:
+step(r) advances the layer in place, and minimum() returns its least value.
+Level sets carry their minimum.  A table keeps the last minimum it found
+and a count of the cells that hold it: a step rewrites box cells only, each
+to more than a value it reads, so it lowers the count for each rewritten
+cell that held the minimum, and minimum() scans only at a count of 0, once
+the minimum has risen.  So `opt_cost` scans at most once, and
+`work_function_minima` once per rise, with the cells its scans read held to
+the work cap.  The caps count box work for every engine.
+Weights are scaled once by the common denominator, so every table is exact
+and results come back as Fraction(value, scale).
 """
 
 from __future__ import annotations
@@ -86,12 +94,12 @@ def check_caps(instance: Instance, steps: int, state_cap: int = DEFAULT_STATE_CA
 
 
 def _table(instance: Instance, start: Config):
-    """(values, scale, step): values[j] / scale is the cost of the j-th
-    configuration in row-major (itertools.product) order, layer 0 at first;
-    step(r) advances the one table in place to the next layer and returns
-    what it rewrote: r's box as a list of cells, or on two-point metrics its
-    one cell.  The start, the caps and the requests are checked by the
-    caller."""
+    """(values, scale, step, minimum), with step and minimum as above:
+    values[j] / scale is the cost of the j-th configuration in row-major
+    (itertools.product) order, layer 0 at first; step(r) is the one-cell
+    step on two-point metrics and the box step otherwise; and minimum(cap)
+    refuses once its scans would read more than `cap` cells in all.  The
+    start, the caps and the requests are checked by the caller."""
     sizes = instance.sizes
     scale = math.lcm(*(w.denominator for w in instance.weights))
     weights = [w.numerator * (scale // w.denominator) for w in instance.weights]
@@ -100,9 +108,31 @@ def _table(instance: Instance, start: Config):
     values = [0]
     for n, w, x in zip(sizes, weights, start):
         values = [v + (0 if y == x else w) for v in values for y in range(n)]
+    low, count, scans = 0, 1, 0  # only the start costs 0
+
+    def minimum(cap=math.inf):
+        nonlocal low, count, scans
+        if not count:
+            scans += 1
+            if scans * len(values) > cap:
+                raise ResourceLimitError(f"minimum scans read {scans * len(values)} cells "
+                                         f"(= {scans} * {len(values)}) past cap {cap}")
+            low = min(values)
+            count = values.count(low)
+        return low
+
     # Instance refuses sizes below 2, so a largest size of 2 means two points everywhere
     if max(sizes) == 2:
-        return values, scale, _two_point_step(values, strides, weights)
+        last = len(values) - 1
+        read = values.__getitem__
+
+        def two_point_step(r):
+            nonlocal count
+            c = last - sum(map(mul, r, strides))
+            if values[c] == low:
+                count -= 1
+            values[c] = min(map(add, map(read, map(xor, repeat(c), strides)), weights))
+        return values, scale, two_point_step, minimum
     # per axis, the offsets -(n-1)s .. -s, s .. (n-1)s: the n - 1 of them from
     # -x·s on lead from point x to the axis's other points.  Repeated once per
     # box cell inside the axis and tiled once per cell outside it, that window
@@ -117,6 +147,7 @@ def _table(instance: Instance, start: Config):
         outer *= n - 1
 
     def box_step(r):
+        nonlocal count
         box = [sum(map(mul, r, strides))]
         backs = []
         for (offsets, repeated, m, inner, outer), x in zip(axes, r):
@@ -126,24 +157,11 @@ def _table(instance: Instance, start: Config):
         candidates = [[values[c - d] + w for c, d in zip(box, back)]
                       for back, w in zip(backs, weights)]
         for c, v in zip(box, map(min, zip(*candidates))):
+            if values[c] == low:
+                count -= 1
             values[c] = v
-        return box
 
-    return values, scale, box_step
-
-
-def _two_point_step(values: list[int], strides: Sequence[int], weights: Sequence[int]):
-    """The update for request r when every metric has two points: its box is
-    the one cell c = (N - 1) - Σ rᵢ·sᵢ, whose coordinate i is 1 - rᵢ, so
-    qᵢ ← rᵢ reads the cell c XOR sᵢ."""
-    last = len(values) - 1
-    read = values.__getitem__
-
-    def step(r):
-        c = last - sum(map(mul, r, strides))
-        values[c] = min(map(add, map(read, map(xor, repeat(c), strides)), weights))
-        return c
-    return step
+    return values, scale, box_step, minimum
 
 
 def _on_levels(instance: Instance) -> bool:
@@ -166,12 +184,13 @@ def _tiled(pattern: int, period: int, times: int) -> int:
 
 
 def _level_sets(sizes: Sequence[int], start: Config):
-    """(sets, step) for a unit-weight instance.  sets is [L₀, L₁, ...]: bit
-    c of Lₐ is set when the c-th configuration in row-major order costs at
-    most the minimum + a, and the list stops before the first set that
-    would hold every cell.  step(r) advances sets in place to the next
-    layer and returns its minimum; layer 0's is 0.  The start, the caps and
-    the requests are checked by the caller."""
+    """(sets, step, minimum) for a unit-weight instance.  sets is [L₀, L₁,
+    ...]: bit c of Lₐ is set when the c-th configuration in row-major order
+    costs at most the minimum + a, and the list stops before the first set
+    that would hold every cell.  step(r) advances sets in place to the next
+    layer, and minimum() returns the minimum that they carry, with no scan
+    to cap.  The start, the caps and the requests are checked by the
+    caller."""
     n_cells = math.prod(sizes)
     full = (1 << n_cells) - 1
     # per axis and point x: the slab {qᵢ = x} and the shifts that carry it
@@ -206,7 +225,7 @@ def _level_sets(sizes: Sequence[int], start: Config):
         sets.append(sets[-1] | reached(sets[-1], moves))
     low = 0
 
-    def step(r):
+    def level_step(r):
         nonlocal low
         moves = list(map(getitem, axes, r))
         serving = 0  # r's slabs
@@ -223,28 +242,34 @@ def _level_sets(sizes: Sequence[int], start: Config):
             del new[0]
             low += 1
         sets[:] = new
-        return low
-    return sets, step
+    return sets, level_step, lambda cap=None: low
+
+
+def _engine(instance: Instance, start: Sequence[int], requests: Sequence[Request],
+            state_cap: int, work_cap: int):
+    """(scale, step, minimum) for serving `requests` from `start`: step(r)
+    advances the layer in place, and minimum(cap) returns its least value,
+    in units of 1 / scale, counting any scan it makes against `cap`.  The
+    start, the caps and the requests are checked first, in that order; no
+    requests need no table, and their minimum is 0."""
+    start = instance.check_coords(start, what="start configuration")
+    if not requests:
+        return 1, None, lambda cap=None: 0
+    check_caps(instance, len(requests), state_cap, work_cap)
+    instance.check_requests(requests)
+    if _on_levels(instance):
+        return 1, *_level_sets(instance.sizes, start)[1:]
+    return _table(instance, start)[1:]
 
 
 def opt_cost(instance: Instance, start: Sequence[int], requests: Sequence[Request],
              *, state_cap: int = DEFAULT_STATE_CAP,
              work_cap: int = DEFAULT_WORK_CAP) -> Fraction:
     """Exact cheapest total movement that serves every request in order."""
-    start = instance.check_coords(start, what="start configuration")
-    if not requests:
-        return Fraction(0)
-    check_caps(instance, len(requests), state_cap, work_cap)
-    instance.check_requests(requests)
-    if _on_levels(instance):
-        _, step = _level_sets(instance.sizes, start)
-        for r in requests:
-            low = step(r)
-        return Fraction(low)
-    values, scale, step = _table(instance, start)
+    scale, step, minimum = _engine(instance, start, requests, state_cap, work_cap)
     for r in requests:
         step(r)
-    return Fraction(min(values), scale)
+    return Fraction(minimum(), scale)
 
 
 def work_function_minima(instance: Instance, start: Sequence[int],
@@ -253,40 +278,12 @@ def work_function_minima(instance: Instance, start: Sequence[int],
                          work_cap: int = DEFAULT_WORK_CAP) -> list[Fraction]:
     """Cheapest table value after 0..T requests, in one forward pass.
 
-    Level sets return their minimum from each step.  On a table, whose
-    values never decrease, the pass keeps the minimum and the cells that
-    hold it; a request drops those of its rewritten cells that
-    rose, and only when none is left is the table scanned for the next
-    minimum.  A scan can follow every request at worst, so besides the box
-    work the T·N cells that would scan must fit `work_cap` too; no requests
-    need no table."""
-    start = instance.check_coords(start, what="start configuration")
-    if not requests:
-        return [Fraction(0)]
-    check_caps(instance, len(requests), state_cap, work_cap)
-    scan = len(requests) * instance.state_count()
-    if scan > work_cap:
-        raise ResourceLimitError(
-            f"minimum scan {scan} (= {len(requests)} * {instance.state_count()}) "
-            f"exceeds cap {work_cap}"
-        )
-    instance.check_requests(requests)
-    if _on_levels(instance):  # the level sets carry their minimum
-        _, step = _level_sets(instance.sizes, start)
-        return [Fraction(0), *map(Fraction, map(step, requests))]
-    values, scale, step = _table(instance, start)
-    if max(instance.sizes) == 2:  # the two-point step rewrites one cell
-        one = step
-        step = lambda r: (one(r),)
-    low = min(values)
-    at_low = {c for c, v in enumerate(values) if v == low}
-    minima = [low]
+    A table scans for its minimum only once every cell that held it has
+    risen, and the cells those scans read must fit `work_cap` as the box
+    work does; level sets carry their minimum and never scan."""
+    scale, step, minimum = _engine(instance, start, requests, state_cap, work_cap)
+    minima = [minimum(work_cap)]
     for r in requests:
-        for c in at_low.intersection(step(r)):
-            if values[c] != low:
-                at_low.remove(c)
-        if not at_low:
-            low = min(values)
-            at_low = {c for c, v in enumerate(values) if v == low}
-        minima.append(low)
+        step(r)
+        minima.append(minimum(work_cap))
     return [Fraction(v, scale) for v in minima]

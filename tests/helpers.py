@@ -3,8 +3,8 @@ builders of the program's own feasible family, the scans that its kept
 top dimension, maximal set and work-function minimum replaced, the box
 table that the unit-weight level sets replaced, the
 text-file readers and writers that the program's per-call caches
-replaced, and the `randrange` traffic generators that its direct bit
-draws replaced."""
+replaced, the `randrange` traffic generators that its direct bit draws
+replaced, and a request sequence that chases the optimum's minimum."""
 
 import io
 import itertools
@@ -27,6 +27,15 @@ from gks.core import (
 )
 from gks.offline import _level_sets, _on_levels, _table, check_caps
 from gks.spaces import FeasibleFamily
+
+
+# 40 requests on (2)^4 with weights 1, 2, 4, 8, each chasing the table's
+# minimum: box work 40 * 4 * 1 = 160, optimum 11, and a rise of the
+# minimum, so a scan of all 16 cells, 11 times
+CHASER = [tuple(map(int, r)) for r in (
+    "1111,0111,1111,1011,0111,0011,1111,1101,1011,0111,0101,0011,1111,1101,"
+    "1011,1001,0111,0101,0011,0001,1111,1110,1101,1011,1001,0111,0110,0101,"
+    "0011,0001,1111,1110,1101,1011,1010,1001,0111,0110,0101,0011").split(",")]
 
 
 def check_coords(instance: Instance, t, what="request"):
@@ -128,7 +137,7 @@ def box_tables(instance: Instance, start, requests):
     on two-point metrics, its one-cell step), whatever engine `opt_cost`
     picks: values[j] / scale is the j-th configuration's cost in row-major
     order.  The one list is updated in place, so read it before advancing."""
-    values, scale, step = _table(instance, start)
+    values, scale, step, _ = _table(instance, start)
     yield values, scale
     for r in requests:
         step(r)
@@ -152,12 +161,12 @@ def engine_tables(instance: Instance, start, requests):
     if not _on_levels(instance):
         yield from box_tables(instance, start, requests)
         return
-    sets, step = _level_sets(instance.sizes, start)
+    sets, step, minimum = _level_sets(instance.sizes, start)
     n_cells = instance.state_count()
-    yield decoded_levels(sets, 0, n_cells), 1
+    yield decoded_levels(sets, minimum(), n_cells), 1
     for r in requests:
-        low = step(r)
-        yield decoded_levels(sets, low, n_cells), 1
+        step(r)
+        yield decoded_levels(sets, minimum(), n_cells), 1
 
 
 def work_function_layer(instance: Instance, start, requests, t,

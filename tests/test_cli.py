@@ -15,6 +15,8 @@ from gks.certify import CertificateVerdicts, read_certificate, verify_certificat
 from gks.core import CertificateImpossibleError, Instance, write_sequence
 from gks.weighted import WeightedAlgorithm
 
+from helpers import CHASER
+
 
 @pytest.fixture
 def runner():
@@ -224,15 +226,22 @@ def test_opt_default_caps_cover_two_point_k12_t2000(runner, tmp_path):
 
 def test_opt_trace_wf_counts_the_minimum_scan(runner, tmp_path):
     # 1,024 states and 100 requests: 1,000 units of box work fit the cap,
-    # but the per-layer minima scan T·N = 102,400 cells
+    # and the table scans for its minimum only when it rises
     inst = Instance.uniform(10, 2)
     path = tmp_path / "k10.gks"
     write_sequence(path, inst, random_sequence(inst, 100, seed=4))
     args = ["opt", "--seq", str(path), "--work-cap", "50000"]
-    assert runner.invoke(main, args).exit_code == 0
-    result = runner.invoke(main, args + ["--trace-wf"])
+    opt = runner.invoke(main, args)
+    traced = runner.invoke(main, args + ["--trace-wf"])
+    assert opt.exit_code == traced.exit_code == 0, traced.output
+    assert traced.output.splitlines()[-1] == opt.output.strip()
+    # 40 requests that chase the minimum on (2)^4: 11 rises, 176 cells scanned
+    path = tmp_path / "chase.gks"
+    write_sequence(path, Instance.make([2] * 4, [1, 2, 4, 8]), CHASER)
+    result = runner.invoke(main, ["opt", "--seq", str(path), "--trace-wf", "--work-cap", "175"])
     assert result.exit_code == 3
-    assert "minimum scan 102400 (= 100 * 1024)" in result.stderr
+    assert [line for line in result.stderr.splitlines() if line.startswith("error:")] == [
+        "error: minimum scans read 176 cells (= 11 * 16) past cap 175"]
 
 
 def test_opt_trace_wf_of_no_requests_is_zero(runner, tmp_path):

@@ -14,6 +14,7 @@ import gks.offline as offline
 from gks.offline import check_caps, opt_cost, work_function_minima
 
 from helpers import (
+    CHASER,
     all_configs,
     box_tables,
     brute_force_opt,
@@ -27,7 +28,7 @@ from helpers import (
 )
 
 
-def test_checks_run_in_order_start_caps_scan_requests():
+def test_checks_run_in_order_start_caps_requests():
     # a bad start on an instance over the state cap, with requests to serve
     over = Instance.uniform(9, 5)
     for solve in (opt_cost, work_function_minima):
@@ -35,11 +36,11 @@ def test_checks_run_in_order_start_caps_scan_requests():
             solve(over, (5,) * 9, [(0,) * 9])
         with pytest.raises(ResourceLimitError, match="state space"):
             solve(over, (0,) * 9, [(5,) * 9])
-    # 10 requests: box work 20 fits, the minimum scan of 40 does not
-    with pytest.raises(ResourceLimitError, match="minimum scan"):
-        work_function_minima(Instance.uniform(2, 2), (0, 0), [(5, 5)] * 10, work_cap=30)
-    with pytest.raises(InvalidInputError, match="request"):
-        opt_cost(Instance.uniform(2, 2), (0, 0), [(5, 5)] * 10, work_cap=30)
+        # 10 requests: box work 20 over the cap of 19, and a bad request
+        with pytest.raises(ResourceLimitError, match="box work 20"):
+            solve(Instance.uniform(2, 2), (0, 0), [(5, 5)] * 10, work_cap=19)
+        with pytest.raises(InvalidInputError, match="request"):
+            solve(Instance.uniform(2, 2), (0, 0), [(5, 5)] * 10, work_cap=20)
 
 
 def test_single_request_example():
@@ -239,13 +240,20 @@ def test_two_point_step_matches_naive_definition(case):
 
 @st.composite
 def minima_cases(draw):
-    """An instance with k <= 4, every metric of 3 to 5 points and positive
-    rational weights, any start and up to 80 requests, as random traffic or
-    as requests that each repeat one coordinate of the last."""
-    k = draw(st.integers(1, 4))
-    sizes = draw(st.lists(st.integers(3, 5), min_size=k, max_size=k))
-    weights = draw(st.lists(st.builds(Fraction, st.integers(1, 30), st.integers(1, 8)),
-                            min_size=k, max_size=k))
+    """Any start and up to 80 requests on an instance with k <= 4, every
+    metric of 3 to 5 points and positive rational weights, or with k <= 9,
+    every metric of two points and the weights 2ʲ in any order, whose
+    distinct subset sums keep few cells at the minimum, so it often rises
+    out from under them."""
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 9))
+        sizes = [2] * k
+        weights = draw(st.permutations([2 ** j for j in range(k)]))
+    else:
+        k = draw(st.integers(1, 4))
+        sizes = draw(st.lists(st.integers(3, 5), min_size=k, max_size=k))
+        weights = draw(st.lists(st.builds(Fraction, st.integers(1, 30), st.integers(1, 8)),
+                                min_size=k, max_size=k))
     point = st.tuples(*(st.integers(0, n - 1) for n in sizes))
     return Instance.make(sizes, weights), draw(point), draw(st.lists(point, max_size=80))
 
@@ -253,22 +261,25 @@ def minima_cases(draw):
 @settings(max_examples=80, deadline=None)
 @given(minima_cases())
 def test_kept_minima_match_the_full_scan(case):
-    # the kept minimum and its cells against a scan of the whole table
-    # after every request, where the box step runs
+    # the kept minimum and its count against a scan of the whole table
+    # after every request, where the box and two-point steps run
     inst, start, seq = case
     assert work_function_minima(inst, start, seq) == scanned_minima(inst, start, seq)
 
 
 @pytest.mark.parametrize("sizes", [(4,) * 4, (2,) * 9, (3, 5, 4)])
 def test_kept_minima_match_the_full_scan_on_long_runs(sizes):
-    # long enough that the minimum rises many times, each time a rescan
-    inst = Instance.make(sizes)
-    alg = GenericAlgorithm(inst, keep_transcript=False)
-    for seq in (random_sequence(inst, 600, seed=5), run_evasive(alg, 600, 5)):
-        minima = work_function_minima(inst, (0,) * inst.k, seq)
-        assert minima == scanned_minima(inst, (0,) * inst.k, seq)
-        assert minima[-1] == opt_cost(inst, (0,) * inst.k, seq)
-    assert minima[-1] > 0  # evasive traffic, last, raises the minimum
+    # long enough that the minimum rises many times, each time a rescan;
+    # the weights 2ʲ put the table path under the unit level sets too
+    unit = Instance.make(sizes)
+    alg = GenericAlgorithm(unit, keep_transcript=False)
+    seqs = (random_sequence(unit, 600, seed=5), run_evasive(alg, 600, 5))
+    for inst in (unit, Instance.make(sizes, [2 ** j for j in range(len(sizes))])):
+        for seq in seqs:
+            minima = work_function_minima(inst, (0,) * inst.k, seq)
+            assert minima == scanned_minima(inst, (0,) * inst.k, seq)
+            assert minima[-1] == opt_cost(inst, (0,) * inst.k, seq)
+        assert minima[-1] > 0  # evasive traffic, last, raises the minimum
 
 
 @st.composite
@@ -323,26 +334,80 @@ def test_level_sets_match_box_table_on_long_runs(sizes):
         assert minima[-1] >= 5
 
 
+def spy_on_engines(monkeypatch):
+    """Record, for every `offline._engine` call, its step's name and the
+    calls of its minimum, and count the table scans: `min` over a whole
+    table list."""
+    calls = {"steps": [], "minimum": 0, "scans": 0}
+    real_engine = offline._engine
+
+    def engine(*args):
+        scale, step, minimum = real_engine(*args)
+        calls["steps"].append(step.__name__)
+
+        def spied(*cap):
+            calls["minimum"] += 1
+            return minimum(*cap)
+        return scale, step, spied
+
+    def spied_min(*args, **kwargs):
+        if len(args) == 1 and type(args[0]) is list:
+            calls["scans"] += 1
+        return min(*args, **kwargs)
+    monkeypatch.setattr(offline, "_engine", engine)
+    monkeypatch.setattr(offline, "min", spied_min, raising=False)
+    return calls
+
+
+ENGINE_CASES = {
+    "all two-point": (Instance.make([2, 2, 2]), "two_point_step"),
+    "two-point, weighted": (Instance.make([2, 2], [1, "5/2"]), "two_point_step"),
+    "unit, every size >= 3": (Instance.make([3, 5, 4]), "level_step"),
+    "weighted": (Instance.make([3, 3], [1, 7]), "box_step"),
+    "equal weights other than 1": (Instance.make([3, 3], [2, 2]), "box_step"),
+    "mixed, unit": (Instance.make([2, 3, 3]), "box_step"),
+}
+
+
 def test_each_instance_class_gets_its_engine(monkeypatch):
-    used = []
-    for name in ("_level_sets", "_table", "_two_point_step"):
-        real = getattr(offline, name)
-        monkeypatch.setattr(offline, name,
-                            lambda *args, real=real, name=name: used.append(name) or real(*args))
-    cases = {
-        "all two-point": (Instance.make([2, 2, 2]), ["_table", "_two_point_step"]),
-        "two-point, weighted": (Instance.make([2, 2], [1, "5/2"]), ["_table", "_two_point_step"]),
-        "unit, every size >= 3": (Instance.make([3, 5, 4]), ["_level_sets"]),
-        "weighted": (Instance.make([3, 3], [1, 7]), ["_table"]),
-        "equal weights other than 1": (Instance.make([3, 3], [2, 2]), ["_table"]),
-        "mixed, unit": (Instance.make([2, 3, 3]), ["_table"]),
-    }
-    for what, (inst, engine) in cases.items():
+    calls = spy_on_engines(monkeypatch)
+    for what, (inst, step) in ENGINE_CASES.items():
         seq = random_sequence(inst, 20, seed=1)
         for solve in (opt_cost, work_function_minima):
-            used.clear()
+            calls["steps"].clear()
             solve(inst, (0,) * inst.k, seq)
-            assert used == engine, what
+            assert calls["steps"] == [step], what
+
+
+def test_opt_cost_scans_a_table_at_most_once(monkeypatch):
+    calls = spy_on_engines(monkeypatch)
+    for what, (inst, step) in ENGINE_CASES.items():
+        for seq in (random_sequence(inst, 200, seed=3),
+                    run_evasive(GenericAlgorithm(Instance.make(inst.sizes)), 200, 3)):
+            calls.update(minimum=0, scans=0)
+            opt = opt_cost(inst, (0,) * inst.k, seq)
+            assert opt > 0, what
+            assert calls["minimum"] == 1, what
+            assert calls["scans"] <= (step != "level_step"), what
+            # the pass that reads every minimum makes a minimum call per layer
+            calls.update(minimum=0)
+            assert work_function_minima(inst, (0,) * inst.k, seq)[-1] == opt
+            assert calls["minimum"] == len(seq) + 1, what
+
+
+def test_minima_refuse_one_scanned_cell_past_the_work_cap(monkeypatch):
+    inst = Instance.make([2] * 4, [1, 2, 4, 8])
+    start = (0,) * 4
+    assert opt_cost(inst, start, CHASER, work_cap=160) == 11
+    with pytest.raises(ResourceLimitError, match=r"^box work 160 .* exceeds cap 159$"):
+        opt_cost(inst, start, CHASER, work_cap=159)
+    calls = spy_on_engines(monkeypatch)
+    minima = work_function_minima(inst, start, CHASER, work_cap=176)
+    assert minima == scanned_minima(inst, start, CHASER)
+    assert minima[-1] == 11 and calls["scans"] == 11
+    with pytest.raises(ResourceLimitError,
+                       match=r"^minimum scans read 176 cells \(= 11 \* 16\) past cap 175$"):
+        work_function_minima(inst, start, CHASER, work_cap=175)
 
 
 @pytest.mark.parametrize("k", [10, 11, 12, 13])
